@@ -105,7 +105,9 @@ impl ModelHub {
 
     /// Progressive evaluation of an archived model on one input: fetch
     /// high-order byte planes first, refine only if the prediction is not
-    /// determined (§IV-D).
+    /// determined (§IV-D). Each call builds a fresh evaluator, so nothing
+    /// decoded is kept between calls; to answer many queries, hold one
+    /// `mh_pas::ProgressiveEvaluator`, which keeps its levels.
     pub fn progressive_eval(
         &self,
         spec: &str,

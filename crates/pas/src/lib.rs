@@ -13,10 +13,12 @@
 //! * [`builder`] — constructs the graph from model-repository artifacts
 //!   with measured compression costs;
 //! * [`segstore`] — the physical byte-plane chunk store with full,
-//!   truncated and interval-bounded retrieval;
+//!   truncated and interval-bounded retrieval, refined one plane at a
+//!   time;
 //! * [`progressive`] — progressive query evaluation: fetch high-order
 //!   planes, interval-evaluate, fetch more only when the prediction is not
-//!   yet determined (Lemma 4).
+//!   yet determined (Lemma 4), keeping every refinement level for the
+//!   evaluator's later queries.
 //!
 //! ```
 //! use mh_pas::{apply_alpha_budgets, solver, CostModel, GraphBuilder, RetrievalScheme};
@@ -52,7 +54,7 @@ pub use builder::{apply_alpha_budgets, CostModel, GraphBuilder};
 pub use graph::{Edge, EdgeId, EdgeKind, SnapshotGroup, StorageGraph, VertexId, NULL_VERTEX};
 pub use plan::{PlanError, RetrievalScheme, StoragePlan};
 pub use progressive::{BatchStats, ModelBinding, ProgressiveEvaluator, ProgressiveResult};
-pub use segstore::{Histogram, SegmentStore};
+pub use segstore::{Histogram, PlanePrefix, SegmentStore};
 
 /// Pre-register this crate's metric series in the global mh-obs registry
 /// so they appear (at zero) in `/metrics` before any PAS work runs.

@@ -11,8 +11,13 @@
 //! * XOR deltas compose bytewise, so a k-plane prefix is exact in its top
 //!   k bytes.
 //! * SUB (wrapping-add) deltas admit carries from the unknown low bytes;
-//!   [`SegmentStore::recreate_bounds`] widens the interval by one carry
-//!   unit per chain object, keeping the bounds sound.
+//!   [`PlanePrefix::bounds`] widens the interval by one carry unit per
+//!   chain object, keeping the bounds sound.
+//!
+//! Prefixes are refined one plane at a time ([`SegmentStore::refine`]):
+//! the chain walk is linear in the plane decomposition of its words, so
+//! each plane of each chain object is decoded once however many planes a
+//! caller ends up needing.
 
 use crate::graph::{StorageGraph, VertexId, NULL_VERTEX};
 use crate::plan::StoragePlan;
@@ -55,7 +60,7 @@ pub struct SegmentStore {
 /// Which word-combine a delta plane applies. Dispatching on this (rather
 /// than a closure) lets the same-shape fast path hit the SIMD kernels in
 /// `mh_delta::simd`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum WordOp {
     /// Wrapping add: SUB-delta application.
     Add,
@@ -338,8 +343,23 @@ impl SegmentStore {
         Ok(rev)
     }
 
-    /// Read and decompress the first `k` planes of one object, returning
-    /// its words with the low bytes zeroed.
+    /// Read and decompress plane `p` of one object.
+    // mh-audit: no_panic_zone
+    fn load_plane(&self, o: &ObjectMeta, p: usize) -> Result<Vec<u8>, PasError> {
+        let n = o
+            .rows
+            .checked_mul(o.cols)
+            .ok_or(PasError::Corrupt("manifest shape overflows"))?;
+        let packed = std::fs::read(plane_path(&self.dir, o.vertex, p)).map_err(PasError::Io)?;
+        let plane = mh_compress::decompress(&packed).map_err(PasError::Compress)?;
+        if plane.len() != n {
+            return Err(PasError::Corrupt("plane length mismatch"));
+        }
+        Ok(plane)
+    }
+
+    /// Read and decompress all four planes of one object, returning its
+    /// words.
     ///
     /// Plane decompression goes through the byte-batched pool map: each
     /// plane's task weight is its compressed + decompressed size, so small
@@ -347,30 +367,21 @@ impl SegmentStore {
     /// round-trip) while large ones fan out. The merge stays serial in
     /// plane order, so the result is identical at any width or budget.
     // mh-audit: no_panic_zone
-    fn load_words(&self, o: &ObjectMeta, k: usize) -> Result<Vec<u32>, PasError> {
+    fn load_words(&self, o: &ObjectMeta) -> Result<Vec<u32>, PasError> {
         let mut sp = mh_obs::span("pas.load_planes");
         if sp.is_recording() {
-            sp.field("planes", k);
-            sp.add_bytes_in(o.plane_sizes.iter().take(k).sum());
+            sp.field("planes", 4);
+            sp.add_bytes_in(o.plane_sizes.iter().sum());
         }
         let n = o
             .rows
             .checked_mul(o.cols)
             .ok_or(PasError::Corrupt("manifest shape overflows"))?;
-        let read_plane = |p: usize| -> Result<Vec<u8>, PasError> {
-            let packed = std::fs::read(plane_path(&self.dir, o.vertex, p)).map_err(PasError::Io)?;
-            let plane = mh_compress::decompress(&packed).map_err(PasError::Compress)?;
-            if plane.len() != n {
-                return Err(PasError::Corrupt("plane length mismatch"));
-            }
-            Ok(plane)
-        };
-        let idx: Vec<usize> = (0..k).collect();
         let planes: Vec<Vec<u8>> = mh_par::parallel_map_batched(
             mh_par::current_threads(),
-            &idx,
-            |&p| o.plane_sizes.get(p).map_or(0, |&s| s as usize) + n,
-            |_, &p| read_plane(p),
+            &[0usize, 1, 2, 3],
+            |&p| plane_weight(o, p),
+            |_, &p| self.load_plane(o, p),
         )
         .map_err(PasError::from)?
         .into_iter()
@@ -396,29 +407,12 @@ impl SegmentStore {
             sp.field("chain_len", path.len());
         }
         let mut acc: Vec<u32> = Vec::new();
-        let mut shape = (0usize, 0usize);
-        for (i, o) in path.iter().enumerate() {
-            let words = self.load_words(o, 4)?;
-            match (i, o.kind) {
-                (0, ObjectKind::Materialized) => {
-                    acc = words;
-                    shape = (o.rows, o.cols);
-                }
-                (0, _) => return Err(PasError::Corrupt("chain does not start materialized")),
-                (_, ObjectKind::DeltaSub) => {
-                    acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Add);
-                    shape = (o.rows, o.cols);
-                }
-                (_, ObjectKind::DeltaXor) => {
-                    acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Xor);
-                    shape = (o.rows, o.cols);
-                }
-                (_, ObjectKind::Materialized) => {
-                    return Err(PasError::Corrupt("materialized object mid-chain"))
-                }
-            }
+        let mut prev = None;
+        for &o in &path {
+            acc = chain_step(acc, prev, o, self.load_words(o)?)?;
+            prev = Some(o);
         }
-        let last = path.last().ok_or(PasError::Corrupt("empty chain"))?;
+        let last = prev.ok_or(PasError::Corrupt("empty chain"))?;
         words_to_matrix(&acc, last.rows, last.cols)
     }
 
@@ -493,7 +487,7 @@ impl SegmentStore {
     /// members whose recreation paths overlap, at the price of holding
     /// them in memory simultaneously.
     pub fn recreate_group_reusable(&self, members: &[VertexId]) -> Result<Vec<Matrix>, PasError> {
-        let mut cache: BTreeMap<VertexId, (Vec<u32>, (usize, usize))> = BTreeMap::new();
+        let mut cache: BTreeMap<VertexId, Vec<u32>> = BTreeMap::new();
         let mut out = Vec::with_capacity(members.len());
         for &m in members {
             let path = self.path(m)?;
@@ -503,121 +497,268 @@ impl SegmentStore {
                 .rposition(|o| cache.contains_key(&o.vertex))
                 .map(|i| i + 1)
                 .unwrap_or(0);
-            let (mut acc, mut shape) = if start == 0 {
-                (Vec::new(), (0usize, 0usize))
-            } else {
-                cache[&path[start - 1].vertex].clone()
-            };
-            for (i, o) in path.iter().enumerate().skip(start) {
-                let words = self.load_words(o, 4)?;
-                match (i, o.kind) {
-                    (0, ObjectKind::Materialized) => {
-                        acc = words;
-                        shape = (o.rows, o.cols);
-                    }
-                    (0, _) => return Err(PasError::Corrupt("chain does not start materialized")),
-                    (_, ObjectKind::DeltaSub) => {
-                        acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Add);
-                        shape = (o.rows, o.cols);
-                    }
-                    (_, ObjectKind::DeltaXor) => {
-                        acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Xor);
-                        shape = (o.rows, o.cols);
-                    }
-                    (_, ObjectKind::Materialized) => {
-                        return Err(PasError::Corrupt("materialized object mid-chain"))
-                    }
-                }
-                cache.insert(o.vertex, (acc.clone(), shape));
+            let mut prev = start.checked_sub(1).and_then(|i| path.get(i)).copied();
+            let mut acc = prev
+                .and_then(|o| cache.get(&o.vertex))
+                .cloned()
+                .unwrap_or_default();
+            for &o in path.iter().skip(start) {
+                acc = chain_step(acc, prev, o, self.load_words(o)?)?;
+                cache.insert(o.vertex, acc.clone());
+                prev = Some(o);
             }
-            out.push(words_to_matrix(&acc, shape.0, shape.1)?);
+            let last = prev.ok_or(PasError::Corrupt("empty chain"))?;
+            out.push(words_to_matrix(&acc, last.rows, last.cols)?);
         }
         Ok(out)
     }
 
     /// Sound elementwise bounds on the matrix at `v` using only the first
-    /// `k` byte planes of every object on its chain.
+    /// `k` byte planes of every object on its chain (exact at `k = 4`):
+    /// `k` refinement steps of one [`PlanePrefix`].
     pub fn recreate_bounds(&self, v: VertexId, k: usize) -> Result<(Matrix, Matrix), PasError> {
         assert!((1..=4).contains(&k));
-        if k == 4 {
-            let m = self.recreate(v)?;
-            return Ok((m.clone(), m));
+        let mut prefix = self.plane_prefix(v)?;
+        for _ in 0..k {
+            self.refine(std::slice::from_mut(&mut prefix))?;
         }
+        prefix.bounds()
+    }
+
+    /// The empty (zero-plane) prefix of `v`'s chain. The chain's structure
+    /// is checked here, once, so [`Self::refine`] cannot fail halfway
+    /// through a fold. A chain mixing SUB and XOR deltas is rejected: the
+    /// two ops do not commute, so its plane walks do not fold (no store
+    /// [`Self::create`] writes has one).
+    pub fn plane_prefix(&self, v: VertexId) -> Result<PlanePrefix<'_>, PasError> {
         let path = self.path(v)?;
-        let mut acc: Vec<u32> = Vec::new();
-        let mut shape = (0usize, 0usize);
-        // Number of objects whose unknown low bytes feed additive carries.
-        let mut additive_terms = 0u32;
-        let mut chain_has_sub = false;
-        for (i, o) in path.iter().enumerate() {
-            let words = self.load_words(o, k)?;
-            match (i, o.kind) {
-                (0, ObjectKind::Materialized) => {
-                    acc = words;
-                    shape = (o.rows, o.cols);
-                    additive_terms = 1;
-                }
-                (0, _) => return Err(PasError::Corrupt("chain does not start materialized")),
-                (_, ObjectKind::DeltaSub) => {
-                    acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Add);
-                    shape = (o.rows, o.cols);
-                    additive_terms += 1;
-                    chain_has_sub = true;
-                }
-                (_, ObjectKind::DeltaXor) => {
-                    acc = apply_positional(&acc, shape, &words, (o.rows, o.cols), WordOp::Xor);
-                    shape = (o.rows, o.cols);
-                    // XOR preserves the known top bytes exactly; the low
-                    // bytes stay unknown but do not spill carries upward.
-                }
-                (_, ObjectKind::Materialized) => {
+        let (root, deltas) = path.split_first().ok_or(PasError::Corrupt("empty chain"))?;
+        if root.kind != ObjectKind::Materialized {
+            return Err(PasError::Corrupt("chain does not start materialized"));
+        }
+        let (mut sub, mut xor) = (false, false);
+        for o in deltas {
+            match o.kind {
+                ObjectKind::Materialized => {
                     return Err(PasError::Corrupt("materialized object mid-chain"))
                 }
+                ObjectKind::DeltaSub => sub = true,
+                ObjectKind::DeltaXor => xor = true,
             }
         }
-        let last = path.last().ok_or(PasError::Corrupt("empty chain"))?;
-        let mask: u32 = (1u32 << (8 * (4 - k))) - 1;
-        // Total additive slack: each additive term's low bytes lie in
-        // [0, mask]. XOR-only chains still have the (single) unknown low
-        // part of the final value.
-        let slack: u64 = if chain_has_sub {
-            u64::from(mask) * u64::from(additive_terms)
-        } else {
-            u64::from(mask)
-        };
-        let n = last.rows * last.cols;
-        let mut lo = Vec::with_capacity(n);
-        let mut hi = Vec::with_capacity(n);
-        for &p in &acc {
-            let base = u64::from(p & !mask);
-            let top = (base + slack).min(u64::from(u32::MAX));
-            let f0 = f32::from_bits(base as u32);
-            let f1 = f32::from_bits(top as u32);
-            if !f0.is_finite() || !f1.is_finite() {
-                // NaN/Inf pattern territory (never reached by real weights):
-                // the widest sound interval.
-                lo.push(-f32::MAX);
-                hi.push(f32::MAX);
-            } else if (base as u32) & 0x8000_0000 != 0 && (top as u32) & 0x8000_0000 != 0 {
-                // Same negative sign: larger pattern = more negative.
-                lo.push(f1);
-                hi.push(f0);
-            } else if (base as u32) & 0x8000_0000 == 0 && (top as u32) & 0x8000_0000 == 0 {
-                lo.push(f0);
-                hi.push(f1);
-            } else {
-                // Pattern range crosses the sign boundary: fall back to the
-                // widest sound interval for these magnitudes.
-                let m = f0.abs().max(f1.abs());
-                lo.push(-m);
-                hi.push(m);
-            }
+        if sub && xor {
+            return Err(PasError::Corrupt("chain mixes sub and xor deltas"));
         }
-        Ok((
-            Matrix::from_vec(last.rows, last.cols, lo),
-            Matrix::from_vec(last.rows, last.cols, hi),
-        ))
+        Ok(PlanePrefix {
+            carry_terms: if sub { path.len() as u64 } else { 1 },
+            fold: if sub { WordOp::Add } else { WordOp::Xor },
+            path,
+            planes: 0,
+            acc: Vec::new(),
+        })
     }
+
+    /// Advance every prefix by one byte plane, returning how many planes
+    /// were decoded.
+    ///
+    /// Plane `k` of every object on every chain is decoded in one
+    /// byte-batched pool map; then, serially in prefix and path order,
+    /// each chain is walked on its plane-only words and the walk is folded
+    /// into the prefix's accumulator. Results are therefore identical at
+    /// any width or batch budget. On error no prefix changes. Prefixes
+    /// already at four planes are left alone.
+    pub fn refine(&self, prefixes: &mut [PlanePrefix<'_>]) -> Result<usize, PasError> {
+        let mut sp = mh_obs::span("pas.plane_refine");
+        let jobs: Vec<(&ObjectMeta, usize)> = prefixes
+            .iter()
+            .filter(|pre| pre.planes < 4)
+            .flat_map(|pre| pre.path.iter().map(move |&o| (o, pre.planes)))
+            .collect();
+        if sp.is_recording() {
+            sp.field("planes_decoded", jobs.len());
+            sp.add_bytes_in(
+                jobs.iter()
+                    .map(|&(o, p)| o.plane_sizes.get(p).copied().unwrap_or(0))
+                    .sum(),
+            );
+        }
+        let mut planes = mh_par::parallel_map_batched(
+            mh_par::current_threads(),
+            &jobs,
+            |&(o, p)| plane_weight(o, p),
+            |_, &(o, p)| self.load_plane(o, p),
+        )
+        .map_err(PasError::from)?
+        .into_iter();
+        let mut walks = Vec::with_capacity(prefixes.len());
+        for pre in prefixes.iter().filter(|pre| pre.planes < 4) {
+            let shift = 8 * (3 - pre.planes) as u32;
+            let mut acc = Vec::new();
+            let mut prev = None;
+            for &o in &pre.path {
+                let plane = planes
+                    .next()
+                    .ok_or(PasError::Corrupt("plane count mismatch"))??;
+                let words = plane.iter().map(|&b| u32::from(b) << shift).collect();
+                acc = chain_step(acc, prev, o, words)?;
+                prev = Some(o);
+            }
+            walks.push(acc);
+        }
+        for (pre, walk) in prefixes.iter_mut().filter(|pre| pre.planes < 4).zip(walks) {
+            if pre.planes == 0 {
+                pre.acc = walk;
+            } else {
+                match pre.fold {
+                    WordOp::Add => mh_delta::simd::add_assign(&mut pre.acc, &walk),
+                    WordOp::Xor => mh_delta::simd::xor_assign(&mut pre.acc, &walk),
+                }
+            }
+            pre.planes += 1;
+        }
+        Ok(jobs.len())
+    }
+}
+
+/// A vertex's byte-plane prefix: the chain walk over the first
+/// [`planes`](Self::planes) planes of every object on its recreation
+/// path, held as one running word accumulator and advanced one plane at a
+/// time by [`SegmentStore::refine`].
+///
+/// Why one plane at a time suffices: a k-plane word is the sum (equally,
+/// the XOR — the bytes occupy disjoint bits) of its k single-plane parts,
+/// and the chain walk is linear in its inputs — wrapping add for SUB
+/// chains, XOR for XOR chains, and the crop / zero-extend of a
+/// shape-changing delta both. So
+/// `acc(k + 1) = acc(k) ⊕ walk(plane k only)`, with ⊕ the chain's own
+/// delta op, bit for bit.
+#[derive(Debug)]
+pub struct PlanePrefix<'s> {
+    /// The recreation path, root first, structure-checked.
+    path: Vec<&'s ObjectMeta>,
+    /// How a plane walk folds into `acc`: the chain's delta op.
+    fold: WordOp,
+    /// Chain objects whose unknown low bytes feed additive carries.
+    carry_terms: u64,
+    planes: usize,
+    acc: Vec<u32>,
+}
+
+impl PlanePrefix<'_> {
+    /// Byte planes folded in so far (0..=4).
+    pub fn planes(&self) -> usize {
+        self.planes
+    }
+
+    /// Objects on the recreation path: each refinement step decodes one
+    /// plane of each.
+    pub fn chain_len(&self) -> usize {
+        self.path.len()
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        self.path.last().map_or((0, 0), |o| (o.rows, o.cols))
+    }
+
+    /// Sound elementwise bounds on the vertex's matrix from the planes
+    /// folded in so far; exact (`lo == hi`, bit-equal to
+    /// [`SegmentStore::recreate`]) at four planes. Needs at least one
+    /// plane.
+    pub fn bounds(&self) -> Result<(Matrix, Matrix), PasError> {
+        if self.planes == 4 {
+            let m = self.to_matrix()?;
+            return Ok((m.clone(), m));
+        }
+        let (rows, cols) = self.shape();
+        let (lo, hi) = word_bounds(&self.acc, self.planes, self.carry_terms);
+        let bound =
+            |v| Matrix::try_from_vec(rows, cols, v).ok_or(PasError::Corrupt("word count mismatch"));
+        Ok((bound(lo)?, bound(hi)?))
+    }
+
+    /// The accumulated matrix: bit-equal to [`SegmentStore::recreate`] at
+    /// four planes, the chain value with its unread low bytes zeroed
+    /// before that.
+    pub fn to_matrix(&self) -> Result<Matrix, PasError> {
+        let (rows, cols) = self.shape();
+        words_to_matrix(&self.acc, rows, cols)
+    }
+}
+
+/// Pool-batching weight of decoding plane `p` of `o`: compressed plus
+/// decompressed bytes.
+fn plane_weight(o: &ObjectMeta, p: usize) -> usize {
+    o.plane_sizes.get(p).map_or(0, |&s| s as usize) + o.rows.saturating_mul(o.cols)
+}
+
+/// Fold object `o`'s words into the chain accumulator of its predecessors
+/// on the recreation path (`prev` is the one before it, `None` at the
+/// root) — the one chain walk step behind full recreation, the reusable
+/// scheme and plane refinement.
+fn chain_step(
+    acc: Vec<u32>,
+    prev: Option<&ObjectMeta>,
+    o: &ObjectMeta,
+    words: Vec<u32>,
+) -> Result<Vec<u32>, PasError> {
+    let op = match (prev, o.kind) {
+        (None, ObjectKind::Materialized) => return Ok(words),
+        (None, _) => return Err(PasError::Corrupt("chain does not start materialized")),
+        (Some(_), ObjectKind::Materialized) => {
+            return Err(PasError::Corrupt("materialized object mid-chain"))
+        }
+        (Some(_), ObjectKind::DeltaSub) => WordOp::Add,
+        (Some(_), ObjectKind::DeltaXor) => WordOp::Xor,
+    };
+    let base_shape = prev.map_or((0, 0), |b| (b.rows, b.cols));
+    Ok(apply_positional(
+        acc,
+        base_shape,
+        &words,
+        (o.rows, o.cols),
+        op,
+    ))
+}
+
+/// Sound elementwise bounds on the words of a `k`-plane chain accumulator.
+/// `carry_terms` is the number of chain objects whose unknown low bytes
+/// feed additive carries: the chain length for a SUB chain, 1 otherwise
+/// (XOR preserves the known top bytes exactly; only the final value's low
+/// part is unknown).
+fn word_bounds(acc: &[u32], k: usize, carry_terms: u64) -> (Vec<f32>, Vec<f32>) {
+    // The unread low bytes; every bit unknown at k = 0.
+    let mask: u32 = u32::MAX.checked_shr(8 * k as u32).unwrap_or(0);
+    // Total additive slack: each additive term's low bytes lie in
+    // [0, mask].
+    let slack: u64 = u64::from(mask) * carry_terms;
+    let mut lo = Vec::with_capacity(acc.len());
+    let mut hi = Vec::with_capacity(acc.len());
+    for &p in acc {
+        let base = u64::from(p & !mask);
+        let top = (base + slack).min(u64::from(u32::MAX));
+        let f0 = f32::from_bits(base as u32);
+        let f1 = f32::from_bits(top as u32);
+        if !f0.is_finite() || !f1.is_finite() {
+            // NaN/Inf pattern territory (never reached by real weights):
+            // the widest sound interval.
+            lo.push(-f32::MAX);
+            hi.push(f32::MAX);
+        } else if (base as u32) & 0x8000_0000 != 0 && (top as u32) & 0x8000_0000 != 0 {
+            // Same negative sign: larger pattern = more negative.
+            lo.push(f1);
+            hi.push(f0);
+        } else if (base as u32) & 0x8000_0000 == 0 && (top as u32) & 0x8000_0000 == 0 {
+            lo.push(f0);
+            hi.push(f1);
+        } else {
+            // Pattern range crosses the sign boundary: fall back to the
+            // widest sound interval for these magnitudes.
+            let m = f0.abs().max(f1.abs());
+            lo.push(-m);
+            hi.push(m);
+        }
+    }
+    (lo, hi)
 }
 
 /// An approximate weight histogram computed from high-order byte planes.
@@ -667,7 +808,7 @@ impl Histogram {
 /// base is virtually zero-extended or cropped to the target's (row, col)
 /// grid, never reflowed.
 fn apply_positional(
-    base: &[u32],
+    base: Vec<u32>,
     base_shape: (usize, usize),
     delta: &[u32],
     target_shape: (usize, usize),
@@ -677,10 +818,10 @@ fn apply_positional(
     let (tr, tc) = target_shape;
     let total = tr.saturating_mul(tc);
     // Fast path: same-shape delta application (the overwhelmingly common
-    // case on real chains) runs the runtime-dispatched SIMD word kernels —
-    // exact integer ops, bit-identical to the scalar loop below.
+    // case on real chains) runs the runtime-dispatched SIMD word kernels
+    // in place — exact integer ops, bit-identical to the scalar loop below.
     if (br, bc) == (tr, tc) && base.len() == total && delta.len() == total {
-        let mut out = base.to_vec();
+        let mut out = base;
         match op {
             WordOp::Add => mh_delta::simd::add_assign(&mut out, delta),
             WordOp::Xor => mh_delta::simd::xor_assign(&mut out, delta),
