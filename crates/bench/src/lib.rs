@@ -2,11 +2,11 @@
 //!
 //! The experiment harness regenerating every table and figure of the
 //! ModelHub paper's evaluation (§V), on the scaled substrate described in
-//! DESIGN.md. The `repro` binary drives the experiments in
-//! [`experiments`]; Criterion micro-benches live under `benches/`.
+//! DESIGN.md, plus the observability overhead guards. `modelhub repro`
+//! drives the experiments in [`experiments`]. Performance is measured by
+//! the lifecycle benchmark under `bench/`, not here.
 
 pub mod experiments;
-pub mod gate;
 pub mod report;
 pub mod workload;
 
@@ -21,8 +21,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig6d",
     "rd",
     "ablations",
-    "pas",
-    "hub",
+    "overhead",
 ];
 
 /// Run one named experiment (writing its artifacts under `results/`).
@@ -44,8 +43,7 @@ pub fn run_experiment(name: &str, quick: bool) -> std::io::Result<()> {
         "table5" => table5::run(t5_snapshots, t5_iters),
         "fig6d" => fig6d::run(4, fig6d_iters),
         "ablations" => ablations::run(train_iters),
-        "pas" => pas::run(quick),
-        "hub" => hub::run(quick),
+        "overhead" => overhead::run(quick),
         "rd" => rd::run(),
         other => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,

@@ -304,6 +304,10 @@ fn connection_peak_exceeds_pool_width() {
         server.stats().conn_peak().get()
     );
 
+    // A fresh, complete request is served through the held load: the
+    // parked heads occupy connections, not pool workers.
+    assert_eq!(client.repositories().unwrap(), Vec::<String>::new());
+
     // Complete every request: all must succeed despite pool width 2.
     for s in &mut held {
         s.write_all(b"P/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")

@@ -4,10 +4,20 @@
 
 use mh_par::parallel_map_threads;
 
+/// Serialises the tests in this file that drive the pool: every pool run
+/// feeds the process-global `par_tasks_total` / `par_task_*_us` series, so
+/// the exact-delta assertions in `pool_metrics_are_recorded` only hold
+/// while no other test is submitting work.
+fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Hammer one global counter from pool workers across thread counts; the
 /// final value must equal the exact number of increments (no lost updates).
 #[test]
 fn concurrent_counter_increments_from_workers_lose_nothing() {
+    let _pool = pool_lock();
     let c = mh_obs::counter!("par_it_concurrency_total");
     let items: Vec<usize> = (0..4000).collect();
     let before = c.get();
@@ -24,6 +34,7 @@ fn concurrent_counter_increments_from_workers_lose_nothing() {
 /// the work, even though they run on different threads.
 #[test]
 fn span_nesting_crosses_pool_threads() {
+    let _pool = pool_lock();
     let _g = mh_obs::test_trace_lock();
     mh_obs::enable_capture();
     let items: Vec<usize> = (0..64).collect();
@@ -74,6 +85,7 @@ fn span_nesting_crosses_pool_threads() {
 /// worker panics.
 #[test]
 fn pool_metrics_are_recorded() {
+    let _pool = pool_lock();
     mh_par::register_metrics();
     let tasks = mh_obs::counter!("par_tasks_total");
     let run_hist = mh_obs::histogram!("par_task_run_us", mh_obs::DURATION_US_BUCKETS);

@@ -180,7 +180,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             if rest.first().is_none_or(|a| a.starts_with("--")) {
                 return Err(
-                    "prof needs a subcommand to profile (e.g. `modelhub prof repro pas --quick`)"
+                    "prof needs a subcommand to profile (e.g. `modelhub prof repro fig6c --quick`)"
                         .into(),
                 );
             }
