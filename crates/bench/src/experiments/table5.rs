@@ -3,8 +3,11 @@
 //! An SD-style checkpoint chain is physically stored three ways —
 //! full materialization (SPT), minimum storage (MST), and a PAS plan at
 //! α = 1.6 — then each snapshot group is recreated at full precision and
-//! at 2-byte / 1-byte partial precision, under the Independent (sequential)
-//! and Parallel (threaded) retrieval schemes.
+//! at 2-byte / 1-byte partial precision, under the Independent (one
+//! member after another) and Parallel retrieval schemes. The Parallel read
+//! is one plane-prefix refinement of the whole group: its decode fans out
+//! to the worker pool and shared chain objects are decoded once, so it is
+//! also Table III's reusable scheme (ψr).
 
 use crate::report::{results_dir, Table};
 use crate::workload::checkpointed_model;
@@ -49,20 +52,16 @@ fn measure(store: &SegmentStore, groups: &[Vec<VertexId>], planes: usize, parall
     let start = mh_par::sync::now();
     for _ in 0..reps {
         for g in groups {
-            if parallel {
-                if planes == 4 {
-                    store.recreate_group_parallel(g).expect("retrieve");
-                } else {
-                    // Parallel partial retrieval via scoped threads.
-                    mh_par::sync::thread::scope(|s| {
-                        let handles: Vec<_> = g
-                            .iter()
-                            .map(|&v| s.spawn(move || store.recreate_bounds(v, planes)))
-                            .collect();
-                        for h in handles {
-                            h.join().expect("thread").expect("retrieve");
-                        }
-                    });
+            if parallel && planes == 4 {
+                store.recreate_group_parallel(g).expect("retrieve");
+            } else if parallel {
+                let mut prefixes: Vec<_> = g
+                    .iter()
+                    .map(|&v| store.plane_prefix(v).expect("retrieve"))
+                    .collect();
+                store.refine(&mut prefixes, planes).expect("retrieve");
+                for p in &prefixes {
+                    p.bounds().expect("retrieve");
                 }
             } else {
                 for &v in g {
@@ -138,25 +137,6 @@ pub fn run(snapshots: usize, iters_each: usize) -> std::io::Result<()> {
                 } else {
                     String::new()
                 },
-            ]);
-        }
-        // The reusable scheme (Table III ψr): shared chain prefixes are
-        // recreated once per snapshot group.
-        {
-            let reps = 3;
-            let start = mh_par::sync::now();
-            for _ in 0..reps {
-                for g in &setup.groups {
-                    store.recreate_group_reusable(g).expect("retrieve");
-                }
-            }
-            let ms = start.elapsed().as_secs_f64() * 1000.0 / (reps * setup.groups.len()) as f64;
-            t.row(vec![
-                name.to_string(),
-                "Full (reusable)".to_string(),
-                format!("{ms:.2}"),
-                String::new(),
-                String::new(),
             ]);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -358,7 +358,13 @@ fn deep_check_store(root: &Path, store: &str, snap: &CatalogSnapshot, report: &m
     let checked = mh_par::parallel_map(&vertices, |_, &v| {
         let loc = format!("pas/{store}:vertex{v}");
         let mut findings: Vec<(String, String)> = Vec::new();
-        let (lo, hi) = match seg.recreate_bounds(v, DEEP_PLANES) {
+        // One prefix per vertex: refined to DEEP_PLANES for the bounds,
+        // then on to full precision, so each plane is decoded once.
+        let bounded = seg.plane_prefix(v).and_then(|mut prefix| {
+            seg.refine(std::slice::from_mut(&mut prefix), DEEP_PLANES)?;
+            Ok((prefix.bounds()?, prefix))
+        });
+        let ((lo, hi), mut prefix) = match bounded {
             Ok(b) => b,
             Err(e) => {
                 findings.push((loc, format!("interval bounds cannot be derived: {e}")));
@@ -376,7 +382,8 @@ fn deep_check_store(root: &Path, store: &str, snap: &CatalogSnapshot, report: &m
             }
             width = width.max(h - l);
         }
-        match seg.recreate(v) {
+        let refined = seg.refine(std::slice::from_mut(&mut prefix), 4);
+        match refined.and_then(|_| prefix.to_matrix()) {
             Ok(full) => {
                 let inside = full
                     .as_slice()

@@ -17,7 +17,7 @@
 //! virtually zero-extending or cropping the base to the target's shape, so
 //! any matrix can be delta-encoded against any other.
 
-use mh_tensor::{split_byte_planes, Matrix};
+use mh_tensor::Matrix;
 
 pub mod simd;
 
@@ -138,59 +138,11 @@ impl Delta {
         self.words.len()
     }
 
-    /// Serialized payload with a small header.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.words.len() * 4 + 12);
-        out.push(match self.op {
-            DeltaOp::Sub => 1u8,
-            DeltaOp::Xor => 2u8,
-        });
-        out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(self.cols as u32).to_le_bytes());
-        for &w in &self.words {
-            out.extend_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        if data.len() < 9 {
-            return None;
-        }
-        let op = match data[0] {
-            1 => DeltaOp::Sub,
-            2 => DeltaOp::Xor,
-            _ => return None,
-        };
-        let rows = u32::from_le_bytes(data[1..5].try_into().expect("fixed-size chunk")) as usize;
-        let cols = u32::from_le_bytes(data[5..9].try_into().expect("fixed-size chunk")) as usize;
-        let body = &data[9..];
-        if body.len() != rows.checked_mul(cols)?.checked_mul(4)? {
-            return None;
-        }
-        let words = body
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes(c.try_into().expect("fixed-size chunk")))
-            .collect();
-        Some(Self {
-            op,
-            rows,
-            cols,
-            words,
-        })
-    }
-
-    /// The raw word bytes (no header), big-endian (so byte-plane splitting
+    /// The raw word bytes, big-endian (so byte-plane splitting
     /// puts the most significant delta byte in plane 0) — what PAS
     /// compresses.
     pub fn word_bytes(&self) -> Vec<u8> {
         self.words.iter().flat_map(|w| w.to_be_bytes()).collect()
-    }
-
-    /// Byte planes of the delta words (plane 0 = most significant byte),
-    /// for segmented storage of deltas.
-    pub fn byte_planes(&self) -> Vec<Vec<u8>> {
-        split_byte_planes(&self.word_bytes(), 4)
     }
 
     /// Fraction of delta words that are exactly zero — a cheap closeness
@@ -280,25 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
-        let (b, t) = base_target(true);
-        let d = Delta::compute(&b, &t, DeltaOp::Xor);
-        let bytes = d.to_bytes();
-        let back = Delta::from_bytes(&bytes).unwrap();
-        assert_eq!(back, d);
-        assert!(Delta::from_bytes(&bytes[..5]).is_none());
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        assert!(Delta::from_bytes(&bad).is_none());
-    }
-
-    #[test]
     fn close_matrices_give_compressible_deltas() {
         // The core premise of Fig 6(b): deltas between nearby snapshots
         // have low-entropy high bytes.
         let (b, t) = base_target(true);
         let d = Delta::compute(&b, &t, DeltaOp::Sub);
-        let planes = d.byte_planes();
+        let planes = mh_tensor::split_byte_planes(&d.word_bytes(), 4);
         // Top delta byte should be overwhelmingly 0x00 or 0xff.
         let top = &planes[0];
         let trivial = top.iter().filter(|&&x| x == 0 || x == 0xff).count();

@@ -34,16 +34,4 @@ proptest! {
             prop_assert!(bit_equal(&d.apply(&base), &target));
         }
     }
-
-    #[test]
-    fn serialization_total(base in arb_matrix(), target in arb_matrix()) {
-        let d = Delta::compute(&base, &target, DeltaOp::Sub);
-        let back = Delta::from_bytes(&d.to_bytes()).unwrap();
-        prop_assert!(bit_equal(&back.apply(&base), &target));
-    }
-
-    #[test]
-    fn from_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Delta::from_bytes(&data);
-    }
 }

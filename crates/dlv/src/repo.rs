@@ -219,6 +219,15 @@ pub struct SnapshotInfo {
     pub location: String,
 }
 
+/// Where a snapshot's weights live.
+enum SnapshotData {
+    /// A staged weight blob.
+    Staged(PathBuf),
+    /// An archived PAS store directory and the snapshot's layer → vertex
+    /// map.
+    Archived(PathBuf, BTreeMap<String, mh_pas::VertexId>),
+}
+
 /// One archived PAS store's identity within a repository.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchiveId(pub String);
@@ -758,12 +767,48 @@ impl Repository {
     }
 
     /// Fetch the weights of a snapshot (`None` = latest), transparently
-    /// recreating from PAS if archived.
+    /// recreating from PAS if archived: every layer in one group read.
     pub fn get_weights(&self, spec: &str, snap: Option<usize>) -> Result<Weights, DlvError> {
         let mut sp = mh_obs::span("dlv.checkout");
         if sp.is_recording() {
             sp.field("spec", spec);
         }
+        match self.locate_snapshot(spec, snap)? {
+            SnapshotData::Staged(path) => {
+                let blob = std::fs::read(path).map_err(DlvError::Io)?;
+                sp.add_bytes_in(blob.len() as u64);
+                sp.field("source", "staged");
+                weights_from_bytes(&blob)
+            }
+            SnapshotData::Archived(dir, layers) => {
+                let store = SegmentStore::open(&dir).map_err(DlvError::Pas)?;
+                let (names, vertices): (Vec<String>, Vec<mh_pas::VertexId>) =
+                    layers.into_iter().unzip();
+                let mats = store
+                    .recreate_group_parallel(&vertices)
+                    .map_err(DlvError::Pas)?;
+                sp.field("source", "pas");
+                Ok(names.into_iter().zip(mats).collect())
+            }
+        }
+    }
+
+    /// For archived snapshots: the PAS store directory and the layer →
+    /// vertex mapping, enabling progressive (partial-precision) queries.
+    pub fn pas_binding(
+        &self,
+        spec: &str,
+        snap: Option<usize>,
+    ) -> Result<(PathBuf, BTreeMap<String, mh_pas::VertexId>), DlvError> {
+        match self.locate_snapshot(spec, snap)? {
+            SnapshotData::Archived(dir, layers) => Ok((dir, layers)),
+            SnapshotData::Staged(_) => Err(DlvError::Corrupt("snapshot is not archived")),
+        }
+    }
+
+    /// Where snapshot `snap` (`None` = latest) of a version keeps its
+    /// weights. A malformed `pas_vertex` row is corrupt.
+    fn locate_snapshot(&self, spec: &str, snap: Option<usize>) -> Result<SnapshotData, DlvError> {
         let (row_id, _) = self.find_version(spec)?;
         let mv = row_id as i64;
         let infos = self.snapshots(spec)?;
@@ -778,60 +823,10 @@ impl Repository {
                 .ok_or(DlvError::NoSuchSnapshot(0))?,
         };
         if let Some(rel) = info.location.strip_prefix("staged:") {
-            let blob = std::fs::read(self.root.join(rel)).map_err(DlvError::Io)?;
-            sp.add_bytes_in(blob.len() as u64);
-            sp.field("source", "staged");
-            return weights_from_bytes(&blob);
+            return Ok(SnapshotData::Staged(self.root.join(rel)));
         }
-        if let Some(store_name) = info.location.strip_prefix("pas:") {
-            let store = SegmentStore::open(&self.root.join("pas").join(store_name))
-                .map_err(DlvError::Pas)?;
-            let rows = self.catalog.read(|db| {
-                db.table("pas_vertex").expect("schema").select(
-                    &Predicate::Eq("mv".into(), Value::Int(mv)).and(Predicate::Eq(
-                        "snap_idx".into(),
-                        Value::Int(info.index as i64),
-                    )),
-                )
-            });
-            let mut w = Weights::new();
-            for r in rows {
-                let layer = r.values[2].as_text().unwrap_or("").to_string();
-                let vertex = r.values[4].as_int().unwrap_or(0) as usize;
-                let m = store.recreate(vertex).map_err(DlvError::Pas)?;
-                w.insert(&layer, m);
-            }
-            if w.is_empty() {
-                return Err(DlvError::Corrupt("archived snapshot has no vertices"));
-            }
-            sp.field("source", "pas");
-            return Ok(w);
-        }
-        Err(DlvError::Corrupt("unknown snapshot location"))
-    }
-
-    /// For archived snapshots: the PAS store directory and the layer →
-    /// vertex mapping, enabling progressive (partial-precision) queries.
-    pub fn pas_binding(
-        &self,
-        spec: &str,
-        snap: Option<usize>,
-    ) -> Result<(PathBuf, BTreeMap<String, mh_pas::VertexId>), DlvError> {
-        let (row_id, _) = self.find_version(spec)?;
-        let mv = row_id as i64;
-        let infos = self.snapshots(spec)?;
-        let info = match snap {
-            Some(i) => infos
-                .into_iter()
-                .find(|s| s.index == i)
-                .ok_or(DlvError::NoSuchSnapshot(i))?,
-            None => infos
-                .into_iter()
-                .max_by_key(|s| s.index)
-                .ok_or(DlvError::NoSuchSnapshot(0))?,
-        };
         let Some(store_name) = info.location.strip_prefix("pas:") else {
-            return Err(DlvError::Corrupt("snapshot is not archived"));
+            return Err(DlvError::Corrupt("unknown snapshot location"));
         };
         let rows = self.catalog.read(|db| {
             db.table("pas_vertex").expect("schema").select(
@@ -841,19 +836,24 @@ impl Repository {
                 )),
             )
         });
-        let mapping: BTreeMap<String, mh_pas::VertexId> = rows
+        let layers = rows
             .into_iter()
-            .filter_map(|r| {
-                Some((
-                    r.values[2].as_text()?.to_string(),
-                    r.values[4].as_int()? as mh_pas::VertexId,
-                ))
+            .map(|r| {
+                let layer = r.values.get(2).and_then(Value::as_text);
+                let vertex = r.values.get(4).and_then(Value::as_int);
+                match (layer, vertex) {
+                    (Some(l), Some(v)) if v > 0 => Ok((l.to_string(), v as mh_pas::VertexId)),
+                    _ => Err(DlvError::Corrupt("malformed pas_vertex row")),
+                }
             })
-            .collect();
-        if mapping.is_empty() {
+            .collect::<Result<BTreeMap<_, _>, _>>()?;
+        if layers.is_empty() {
             return Err(DlvError::Corrupt("archived snapshot has no vertices"));
         }
-        Ok((self.root.join("pas").join(store_name), mapping))
+        Ok(SnapshotData::Archived(
+            self.root.join("pas").join(store_name),
+            layers,
+        ))
     }
 
     /// `dlv eval`: run the test phase of a version over labelled data.

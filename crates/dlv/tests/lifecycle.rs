@@ -215,6 +215,36 @@ fn archive_and_retrieve_from_pas() {
 }
 
 #[test]
+fn malformed_pas_vertex_row_is_corrupt() {
+    use mh_dlv::DlvError;
+    use mh_store::{Database, Value};
+    let dir = temp_dir("bad-vertex-row");
+    let repo = Repository::init(&dir).unwrap();
+    let (req, _) = trained_commit("m", 6, 9);
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    drop(repo);
+    // Point one layer of one snapshot at vertex 0, the null vertex.
+    let catalog = dir.join("catalog.mhs");
+    let mut db = Database::load(&catalog).unwrap();
+    let table = db.table_mut("pas_vertex").unwrap();
+    let row = table.scan().next().unwrap();
+    table.update(row.id, "vertex", Value::Int(0)).unwrap();
+    db.save(&catalog).unwrap();
+    let snap = row.values[1].as_int().map(|i| i as usize);
+    let repo = Repository::open(&dir).unwrap();
+    assert!(matches!(
+        repo.get_weights("m", snap),
+        Err(DlvError::Corrupt(_))
+    ));
+    assert!(matches!(
+        repo.pas_binding("m", snap),
+        Err(DlvError::Corrupt(_))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn archive_exploits_deltas_across_checkpoints() {
     let dir = temp_dir("delta-gain");
     let repo = Repository::init(&dir).unwrap();

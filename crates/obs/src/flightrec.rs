@@ -11,9 +11,8 @@
 //!
 //! Overhead is bounded by construction: a fixed number of shards, each a
 //! fixed-length ring guarded by its own mutex, selected by thread id so
-//! concurrent recorders rarely contend. The `flightrec_overhead_pct`
-//! bench leg (repro pas --quick) holds the armed-vs-disarmed cost of a
-//! full archival build under 3%.
+//! concurrent recorders rarely contend. `repro overhead` holds the
+//! armed-vs-disarmed cost of a full archival build under 3%.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -12,9 +12,9 @@
 //!   PAS-PT heuristics for the NP-hard constrained archival problem;
 //! * [`builder`] — constructs the graph from model-repository artifacts
 //!   with measured compression costs;
-//! * [`segstore`] — the physical byte-plane chunk store with full,
-//!   truncated and interval-bounded retrieval, refined one plane at a
-//!   time;
+//! * [`segstore`] — the physical byte-plane chunk store; every read, full
+//!   or interval-bounded, one vertex or a group, is a plane-prefix
+//!   refinement;
 //! * [`progressive`] — progressive query evaluation: fetch high-order
 //!   planes, interval-evaluate, fetch more only when the prediction is not
 //!   yet determined (Lemma 4), keeping every refinement level for the
@@ -76,6 +76,8 @@ pub enum PasError {
     Eval(String),
     /// A worker in the parallel archival/retrieval pool failed.
     Parallel(String),
+    /// A byte-plane count outside `1..=4` was asked for.
+    PlaneCount(usize),
 }
 
 impl std::fmt::Display for PasError {
@@ -88,6 +90,7 @@ impl std::fmt::Display for PasError {
             Self::MissingMatrix(l) => write!(f, "missing matrix for vertex '{l}'"),
             Self::Eval(m) => write!(f, "evaluation error: {m}"),
             Self::Parallel(m) => write!(f, "parallel execution error: {m}"),
+            Self::PlaneCount(k) => write!(f, "byte-plane count {k} outside 1..=4"),
         }
     }
 }

@@ -216,7 +216,7 @@ impl<'a> ProgressiveEvaluator<'a> {
                         .map(|&v| self.store.plane_prefix(v))
                         .collect::<Result<_, _>>()?;
                 }
-                let n = self.store.refine(&mut r.prefixes)? as u64;
+                let n = self.store.refine(&mut r.prefixes, next)? as u64;
                 self.planes_decoded.fetch_add(n, Ordering::Relaxed);
                 *decoded += n;
                 r.planes = next;

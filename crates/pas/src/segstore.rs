@@ -14,10 +14,12 @@
 //!   [`PlanePrefix::bounds`] widens the interval by one carry unit per
 //!   chain object, keeping the bounds sound.
 //!
-//! Prefixes are refined one plane at a time ([`SegmentStore::refine`]):
-//! the chain walk is linear in the plane decomposition of its words, so
-//! each plane of each chain object is decoded once however many planes a
-//! caller ends up needing.
+//! Every read is a plane-prefix refinement ([`SegmentStore::refine`]):
+//! full recreation refines to four planes, partial precision to fewer. The
+//! chain walk is linear in the plane decomposition of its words, so a
+//! prefix advances without re-reading the planes it holds, and each plane
+//! of each chain object is decoded once per call however many chains of
+//! the group share it.
 
 use crate::graph::{StorageGraph, VertexId, NULL_VERTEX};
 use crate::plan::StoragePlan;
@@ -358,78 +360,35 @@ impl SegmentStore {
         Ok(plane)
     }
 
-    /// Read and decompress all four planes of one object, returning its
-    /// words.
-    ///
-    /// Plane decompression goes through the byte-batched pool map: each
-    /// plane's task weight is its compressed + decompressed size, so small
-    /// objects coalesce into a single chunk and run inline (no pool
-    /// round-trip) while large ones fan out. The merge stays serial in
-    /// plane order, so the result is identical at any width or budget.
-    // mh-audit: no_panic_zone
-    fn load_words(&self, o: &ObjectMeta) -> Result<Vec<u32>, PasError> {
-        let mut sp = mh_obs::span("pas.load_planes");
-        if sp.is_recording() {
-            sp.field("planes", 4);
-            sp.add_bytes_in(o.plane_sizes.iter().sum());
-        }
-        let n = o
-            .rows
-            .checked_mul(o.cols)
-            .ok_or(PasError::Corrupt("manifest shape overflows"))?;
-        let planes: Vec<Vec<u8>> = mh_par::parallel_map_batched(
-            mh_par::current_threads(),
-            &[0usize, 1, 2, 3],
-            |&p| plane_weight(o, p),
-            |_, &p| self.load_plane(o, p),
-        )
-        .map_err(PasError::from)?
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        let mut words = vec![0u32; n];
-        for (p, plane) in planes.iter().enumerate() {
-            let shift = 8 * (3 - p) as u32;
-            for (w, &b) in words.iter_mut().zip(plane) {
-                *w |= u32::from(b) << shift;
-            }
-        }
-        Ok(words)
-    }
-
-    /// Recreate the full-precision matrix at `v` by walking its chain.
-    /// The chain metadata and every plane file may come from a pulled
-    /// archive, so the whole walk is corruption-tolerant.
-    // mh-audit: no_panic_zone
+    /// Recreate the full-precision matrix at `v` by walking its chain: a
+    /// one-member [`Self::recreate_group_parallel`].
     pub fn recreate(&self, v: VertexId) -> Result<Matrix, PasError> {
-        let mut sp = mh_obs::span("pas.recreate");
-        let path = self.path(v)?;
-        if sp.is_recording() {
-            sp.field("chain_len", path.len());
-        }
-        let mut acc: Vec<u32> = Vec::new();
-        let mut prev = None;
-        for &o in &path {
-            acc = chain_step(acc, prev, o, self.load_words(o)?)?;
-            prev = Some(o);
-        }
-        let last = prev.ok_or(PasError::Corrupt("empty chain"))?;
-        words_to_matrix(&acc, last.rows, last.cols)
+        self.recreate_group_parallel(&[v])?
+            .pop()
+            .ok_or(PasError::Corrupt("empty group"))
     }
 
-    /// Recreate every member of a snapshot group, sequentially
-    /// ("independent" scheme).
-    pub fn recreate_group(&self, members: &[VertexId]) -> Result<Vec<Matrix>, PasError> {
-        members.iter().map(|&v| self.recreate(v)).collect()
-    }
-
-    /// Recreate every member concurrently on the worker pool (the
-    /// "parallel" retrieval scheme of Table V). A panicking or failing
-    /// worker surfaces as an error instead of poisoning the whole process.
+    /// Recreate every member of a snapshot group at full precision: one
+    /// [`PlanePrefix`] per member, refined to four planes in one
+    /// [`Self::refine`]. Objects shared by several members' chains are
+    /// decoded once (Table III's reusable scheme, ψr) and the decode fans
+    /// out to the worker pool (its parallel scheme). The chain metadata
+    /// and every plane file may come from a pulled archive, so the whole
+    /// read is corruption-tolerant.
+    // mh-audit: no_panic_zone
     pub fn recreate_group_parallel(&self, members: &[VertexId]) -> Result<Vec<Matrix>, PasError> {
-        mh_par::parallel_map(members, |_, &v| self.recreate(v))
-            .map_err(PasError::from)?
-            .into_iter()
-            .collect()
+        let mut sp = mh_obs::span("pas.recreate");
+        let mut prefixes = members
+            .iter()
+            .map(|&v| self.plane_prefix(v))
+            .collect::<Result<Vec<_>, _>>()?;
+        if sp.is_recording() {
+            sp.field("members", prefixes.len());
+            let longest = prefixes.iter().map(PlanePrefix::chain_len).max();
+            sp.field("chain_len", longest.unwrap_or(0));
+        }
+        self.refine(&mut prefixes, 4)?;
+        prefixes.iter().map(PlanePrefix::to_matrix).collect()
     }
 
     /// Approximate weight histogram from only the first `k` byte planes —
@@ -482,46 +441,16 @@ impl SegmentStore {
         })
     }
 
-    /// Recreate a group under the *reusable* scheme (Table III, ψr):
-    /// intermediate chain states are computed once and shared across
-    /// members whose recreation paths overlap, at the price of holding
-    /// them in memory simultaneously.
-    pub fn recreate_group_reusable(&self, members: &[VertexId]) -> Result<Vec<Matrix>, PasError> {
-        let mut cache: BTreeMap<VertexId, Vec<u32>> = BTreeMap::new();
-        let mut out = Vec::with_capacity(members.len());
-        for &m in members {
-            let path = self.path(m)?;
-            // Deepest already-computed vertex on this path.
-            let start = path
-                .iter()
-                .rposition(|o| cache.contains_key(&o.vertex))
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            let mut prev = start.checked_sub(1).and_then(|i| path.get(i)).copied();
-            let mut acc = prev
-                .and_then(|o| cache.get(&o.vertex))
-                .cloned()
-                .unwrap_or_default();
-            for &o in path.iter().skip(start) {
-                acc = chain_step(acc, prev, o, self.load_words(o)?)?;
-                cache.insert(o.vertex, acc.clone());
-                prev = Some(o);
-            }
-            let last = prev.ok_or(PasError::Corrupt("empty chain"))?;
-            out.push(words_to_matrix(&acc, last.rows, last.cols)?);
-        }
-        Ok(out)
-    }
-
     /// Sound elementwise bounds on the matrix at `v` using only the first
     /// `k` byte planes of every object on its chain (exact at `k = 4`):
-    /// `k` refinement steps of one [`PlanePrefix`].
+    /// one [`PlanePrefix`] refined to `k` planes. `k` outside `1..=4` is an
+    /// error.
     pub fn recreate_bounds(&self, v: VertexId, k: usize) -> Result<(Matrix, Matrix), PasError> {
-        assert!((1..=4).contains(&k));
-        let mut prefix = self.plane_prefix(v)?;
-        for _ in 0..k {
-            self.refine(std::slice::from_mut(&mut prefix))?;
+        if !(1..=4).contains(&k) {
+            return Err(PasError::PlaneCount(k));
         }
+        let mut prefix = self.plane_prefix(v)?;
+        self.refine(std::slice::from_mut(&mut prefix), k)?;
         prefix.bounds()
     }
 
@@ -558,22 +487,36 @@ impl SegmentStore {
         })
     }
 
-    /// Advance every prefix by one byte plane, returning how many planes
-    /// were decoded.
+    /// Advance every prefix to `to` byte planes (at most 4), returning how
+    /// many (chain object, plane) pairs were decoded. Prefixes already at
+    /// `to` planes or more are left alone.
     ///
-    /// Plane `k` of every object on every chain is decoded in one
-    /// byte-batched pool map; then, serially in prefix and path order,
-    /// each chain is walked on its plane-only words and the walk is folded
-    /// into the prefix's accumulator. Results are therefore identical at
-    /// any width or batch budget. On error no prefix changes. Prefixes
-    /// already at four planes are left alone.
-    pub fn refine(&self, prefixes: &mut [PlanePrefix<'_>]) -> Result<usize, PasError> {
+    /// Every plane the prefixes are missing, of every object on their
+    /// chains, is decoded in one byte-batched pool map, each distinct
+    /// (object, plane) pair once however many chains share the object.
+    /// Then, serially, each object's new planes are joined into words, each
+    /// chain is walked once on them, and the walk is folded into the
+    /// prefix's accumulator. Results are therefore identical at any width
+    /// or batch budget. On error no prefix changes.
+    // mh-audit: no_panic_zone
+    pub fn refine(&self, prefixes: &mut [PlanePrefix<'_>], to: usize) -> Result<usize, PasError> {
+        if to > 4 {
+            return Err(PasError::PlaneCount(to));
+        }
         let mut sp = mh_obs::span("pas.plane_refine");
-        let jobs: Vec<(&ObjectMeta, usize)> = prefixes
-            .iter()
-            .filter(|pre| pre.planes < 4)
-            .flat_map(|pre| pre.path.iter().map(move |&o| (o, pre.planes)))
-            .collect();
+        // Per (object, first missing plane): its words over the planes
+        // `first..to`, filled in from the decoded planes below.
+        let mut words: BTreeMap<(VertexId, usize), Vec<u32>> = BTreeMap::new();
+        let mut jobs: BTreeMap<(VertexId, usize), &ObjectMeta> = BTreeMap::new();
+        for pre in prefixes.iter().filter(|pre| pre.planes < to) {
+            for &o in &pre.path {
+                words.entry((o.vertex, pre.planes)).or_default();
+                for p in pre.planes..to {
+                    jobs.insert((o.vertex, p), o);
+                }
+            }
+        }
+        let jobs: Vec<(&ObjectMeta, usize)> = jobs.into_iter().map(|((_, p), o)| (o, p)).collect();
         if sp.is_recording() {
             sp.field("planes_decoded", jobs.len());
             sp.add_bytes_in(
@@ -582,30 +525,42 @@ impl SegmentStore {
                     .sum(),
             );
         }
-        let mut planes = mh_par::parallel_map_batched(
+        let planes = mh_par::parallel_map_batched(
             mh_par::current_threads(),
             &jobs,
             |&(o, p)| plane_weight(o, p),
             |_, &(o, p)| self.load_plane(o, p),
         )
-        .map_err(PasError::from)?
-        .into_iter();
+        .map_err(PasError::from)?;
+        for (&(o, p), plane) in jobs.iter().zip(planes) {
+            let plane = plane?;
+            let shift = 8 * (3 - p) as u32;
+            for w in words
+                .range_mut((o.vertex, 0)..=(o.vertex, p))
+                .map(|(_, w)| w)
+            {
+                if w.is_empty() {
+                    *w = vec![0; plane.len()];
+                }
+                for (w, &b) in w.iter_mut().zip(&plane) {
+                    *w |= u32::from(b) << shift;
+                }
+            }
+        }
         let mut walks = Vec::with_capacity(prefixes.len());
-        for pre in prefixes.iter().filter(|pre| pre.planes < 4) {
-            let shift = 8 * (3 - pre.planes) as u32;
+        for pre in prefixes.iter().filter(|pre| pre.planes < to) {
             let mut acc = Vec::new();
             let mut prev = None;
             for &o in &pre.path {
-                let plane = planes
-                    .next()
-                    .ok_or(PasError::Corrupt("plane count mismatch"))??;
-                let words = plane.iter().map(|&b| u32::from(b) << shift).collect();
-                acc = chain_step(acc, prev, o, words)?;
+                let w = words
+                    .get(&(o.vertex, pre.planes))
+                    .ok_or(PasError::Corrupt("plane count mismatch"))?;
+                acc = chain_step(acc, prev, o, w)?;
                 prev = Some(o);
             }
             walks.push(acc);
         }
-        for (pre, walk) in prefixes.iter_mut().filter(|pre| pre.planes < 4).zip(walks) {
+        for (pre, walk) in prefixes.iter_mut().filter(|pre| pre.planes < to).zip(walks) {
             if pre.planes == 0 {
                 pre.acc = walk;
             } else {
@@ -614,7 +569,7 @@ impl SegmentStore {
                     WordOp::Xor => mh_delta::simd::xor_assign(&mut pre.acc, &walk),
                 }
             }
-            pre.planes += 1;
+            pre.planes = to;
         }
         Ok(jobs.len())
     }
@@ -622,15 +577,15 @@ impl SegmentStore {
 
 /// A vertex's byte-plane prefix: the chain walk over the first
 /// [`planes`](Self::planes) planes of every object on its recreation
-/// path, held as one running word accumulator and advanced one plane at a
-/// time by [`SegmentStore::refine`].
+/// path, held as one running word accumulator and advanced by
+/// [`SegmentStore::refine`].
 ///
-/// Why one plane at a time suffices: a k-plane word is the sum (equally,
-/// the XOR — the bytes occupy disjoint bits) of its k single-plane parts,
-/// and the chain walk is linear in its inputs — wrapping add for SUB
-/// chains, XOR for XOR chains, and the crop / zero-extend of a
-/// shape-changing delta both. So
-/// `acc(k + 1) = acc(k) ⊕ walk(plane k only)`, with ⊕ the chain's own
+/// Why a prefix can be advanced without re-reading its planes: a k-plane
+/// word is the sum (equally, the XOR — the bytes occupy disjoint bits) of
+/// its single-plane parts, and the chain walk is linear in its inputs —
+/// wrapping add for SUB chains, XOR for XOR chains, and the crop /
+/// zero-extend of a shape-changing delta both. So
+/// `acc(j) = acc(k) ⊕ walk(planes k..j only)`, with ⊕ the chain's own
 /// delta op, bit for bit.
 #[derive(Debug)]
 pub struct PlanePrefix<'s> {
@@ -693,16 +648,15 @@ fn plane_weight(o: &ObjectMeta, p: usize) -> usize {
 
 /// Fold object `o`'s words into the chain accumulator of its predecessors
 /// on the recreation path (`prev` is the one before it, `None` at the
-/// root) — the one chain walk step behind full recreation, the reusable
-/// scheme and plane refinement.
+/// root) — the chain walk step of [`SegmentStore::refine`].
 fn chain_step(
     acc: Vec<u32>,
     prev: Option<&ObjectMeta>,
     o: &ObjectMeta,
-    words: Vec<u32>,
+    words: &[u32],
 ) -> Result<Vec<u32>, PasError> {
     let op = match (prev, o.kind) {
-        (None, ObjectKind::Materialized) => return Ok(words),
+        (None, ObjectKind::Materialized) => return Ok(words.to_vec()),
         (None, _) => return Err(PasError::Corrupt("chain does not start materialized")),
         (Some(_), ObjectKind::Materialized) => {
             return Err(PasError::Corrupt("materialized object mid-chain"))
@@ -714,7 +668,7 @@ fn chain_step(
     Ok(apply_positional(
         acc,
         base_shape,
-        &words,
+        words,
         (o.rows, o.cols),
         op,
     ))
@@ -1018,16 +972,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn group_read_matches_single_reads() {
         let (g, plan, mats, dir) = setup(DeltaOp::Sub, "par");
         let store =
             SegmentStore::create(&dir, &g, &plan, &mats, DeltaOp::Sub, Level::Fast).unwrap();
         let members: Vec<VertexId> = mats.keys().copied().collect();
-        let seq = store.recreate_group(&members).unwrap();
-        let par = store.recreate_group_parallel(&members).unwrap();
-        for (a, b) in seq.iter().zip(&par) {
-            assert!(bit_equal(a, b));
+        let group = store.recreate_group_parallel(&members).unwrap();
+        for (m, &v) in group.iter().zip(&members) {
+            assert!(bit_equal(m, &store.recreate(v).unwrap()));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plane_counts_outside_one_to_four_are_errors() {
+        let (g, plan, mats, dir) = setup(DeltaOp::Sub, "planecount");
+        let store =
+            SegmentStore::create(&dir, &g, &plan, &mats, DeltaOp::Sub, Level::Fast).unwrap();
+        let v = *mats.keys().next().unwrap();
+        for k in [0, 5] {
+            assert!(matches!(
+                store.recreate_bounds(v, k),
+                Err(PasError::PlaneCount(n)) if n == k
+            ));
+            assert!(store.weight_histogram(v, k, 8, None).is_err());
+        }
+        let mut prefix = store.plane_prefix(v).unwrap();
+        assert!(matches!(
+            store.refine(std::slice::from_mut(&mut prefix), 5),
+            Err(PasError::PlaneCount(5))
+        ));
+        assert_eq!(prefix.planes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1046,7 +1021,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod reusable_tests {
+mod group_tests {
     use super::*;
     use crate::graph::EdgeKind;
     use crate::solver;
@@ -1054,15 +1029,15 @@ mod reusable_tests {
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("mh-pas-reuse-{tag}-{}", std::process::id()));
+        let d = std::env::temp_dir().join(format!("mh-pas-group-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
 
     #[test]
-    fn reusable_matches_independent_and_shares_prefixes() {
-        // Chain m0 -> m1 -> m2 -> m3: retrieving {m2, m3} reusably must
-        // produce the same matrices as independent retrieval.
+    fn group_read_decodes_shared_chain_objects_once() {
+        // Chain m0 -> m1 -> m2 -> m3: retrieving {m2, m3} shares the
+        // objects of m0..m2, which one refinement decodes once.
         let mut g = StorageGraph::new();
         let m0 = Matrix::from_fn(10, 11, |r, c| ((r * 11 + c) as f32 * 0.31).cos() * 0.5);
         let mats: Vec<Matrix> = (0..4).map(|i| m0.map(|x| x + i as f32 * 1e-4)).collect();
@@ -1079,19 +1054,19 @@ mod reusable_tests {
             vs.iter().copied().zip(mats.iter().cloned()).collect();
         let dir = temp_dir("basic");
         let store = SegmentStore::create(&dir, &g, &plan, &map, DeltaOp::Sub, Level::Fast).unwrap();
-        let group = vec![vs[2], vs[3]];
-        let independent = store.recreate_group(&group).unwrap();
-        let reusable = store.recreate_group_reusable(&group).unwrap();
-        for (a, b) in independent.iter().zip(&reusable) {
-            assert!(bit_equal(a, b));
+        let group = [vs[3], vs[2], vs[3]];
+        let mut prefixes: Vec<_> = group
+            .iter()
+            .map(|&v| store.plane_prefix(v).unwrap())
+            .collect();
+        let deepest = prefixes.iter().map(PlanePrefix::chain_len).max().unwrap();
+        assert_eq!(store.refine(&mut prefixes, 4).unwrap(), 4 * deepest);
+        // Arbitrary order and duplicates read back exactly.
+        let back = store.recreate_group_parallel(&group).unwrap();
+        for ((m, pre), &v) in back.iter().zip(&prefixes).zip(&group) {
+            assert!(bit_equal(m, &map[&v]));
+            assert!(bit_equal(&pre.to_matrix().unwrap(), &map[&v]));
         }
-        // And arbitrary order / duplicates still work.
-        let rev = store
-            .recreate_group_reusable(&[vs[3], vs[2], vs[3]])
-            .unwrap();
-        assert!(bit_equal(&rev[0], &mats[3]));
-        assert!(bit_equal(&rev[1], &mats[2]));
-        assert!(bit_equal(&rev[2], &mats[3]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

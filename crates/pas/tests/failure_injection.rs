@@ -104,6 +104,58 @@ fn missing_chunk_file_is_an_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Cut one plane file of `v`'s own object to half its length.
+fn truncate_plane(dir: &std::path::Path, v: mh_pas::VertexId) {
+    let plane = dir.join(format!("obj{v:06}_p1.mhz"));
+    let data = std::fs::read(&plane).unwrap();
+    std::fs::write(&plane, &data[..data.len() / 2]).unwrap();
+}
+
+#[test]
+fn truncated_plane_on_one_chain_fails_the_whole_group() {
+    let dir = temp_dir("group-trunc");
+    let (store, expected) = build_store(&dir);
+    let members: Vec<mh_pas::VertexId> = expected.iter().map(|(v, _)| *v).collect();
+    let victim = *members.last().unwrap();
+    truncate_plane(&dir, victim);
+    // The group read is all or nothing: an error, no partial result.
+    assert!(store.recreate_group_parallel(&members).is_err());
+    assert!(store.recreate(victim).is_err());
+    // Members whose chains avoid the victim still read on their own.
+    let intact = expected
+        .iter()
+        .filter(|(v, _)| store.plane_prefix(*v).unwrap().chain_len() == 1 && *v != victim)
+        .inspect(|(v, m)| assert!(bit_equal(&store.recreate(*v).unwrap(), m)))
+        .count();
+    assert!(intact > 0, "every chain ran through the victim");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_plane_makes_get_weights_a_pas_error() {
+    use mh_dlv::{ArchiveConfig, CommitRequest, DlvError, Repository};
+    let dir = temp_dir("dlv-trunc");
+    let repo = Repository::init(&dir).unwrap();
+    let net = mh_dnn::zoo::lenet_s(3);
+    let w0 = mh_dnn::Weights::init(&net, 1).unwrap();
+    let w1: mh_dnn::Weights = w0
+        .layers()
+        .map(|(n, m)| (n.clone(), m.map(|x| x + 1e-4)))
+        .collect();
+    let mut req = CommitRequest::new("m", net);
+    req.snapshots = vec![(0, w0), (1, w1.clone())];
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    assert_eq!(repo.get_weights("m", Some(1)).unwrap(), w1);
+    let (store_dir, layers) = repo.pas_binding("m", Some(1)).unwrap();
+    truncate_plane(&store_dir, *layers.values().next().unwrap());
+    assert!(matches!(
+        repo.get_weights("m", Some(1)),
+        Err(DlvError::Pas(_))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupted_manifest_rejected_on_open() {
     let dir = temp_dir("manifest");

@@ -1,12 +1,12 @@
 //! Progressive evaluation against independent references.
 //!
-//! Plane-by-plane refinement (`SegmentStore::refine`) must reproduce, bit
+//! Plane-prefix refinement (`SegmentStore::refine`) must reproduce, bit
 //! for bit, the k-plane chain walk read straight off the store's files —
 //! the algorithm the store used before refinement became incremental,
-//! kept below as the oracle — and full recreation at four planes. A
-//! `ProgressiveEvaluator` must answer what `predict` answers, cold and
-//! warm, at any pool width, and must decode each plane of each chain
-//! object at most once.
+//! kept below as the oracle — and full recreation at four planes, one
+//! vertex or a whole group at a time. A `ProgressiveEvaluator` must answer
+//! what `predict` answers, cold and warm, at any pool width, and must
+//! decode each plane of each chain object at most once.
 
 #![allow(clippy::unwrap_used)] // test/bench/demo code: panics are failures
 use mh_compress::Level;
@@ -19,6 +19,11 @@ use mh_pas::{
 use mh_tensor::{Matrix, Tensor3};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// Held by the tests that sweep the process-global pool width, so each
+/// sweep runs at the widths it sets.
+static WIDTH: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mh-progressive-{tag}-{}", std::process::id()));
@@ -238,11 +243,13 @@ fn refinement_is_bit_equal_to_the_reference_walk() {
             .map(|&v| store.plane_prefix(v).unwrap().chain_len())
             .collect();
         assert_eq!(depths, [1, 2, 3, 4, 5, 6, 1], "{op:?} chain depths");
-        // Every vertex refined together, one batched decode per level.
+        // Every vertex refined together, one batched decode per level. The
+        // six chains share their objects, each decoded once: a level
+        // decodes one plane of each distinct chain object, all seven.
         let mut prefixes: Vec<_> = vs.iter().map(|&v| store.plane_prefix(v).unwrap()).collect();
         for k in 1..=4usize {
-            let decoded = store.refine(&mut prefixes).unwrap();
-            assert_eq!(decoded, depths.iter().sum::<usize>(), "{op:?} k{k}");
+            let decoded = store.refine(&mut prefixes, k).unwrap();
+            assert_eq!(decoded, vs.len(), "{op:?} k{k}");
             for (pre, &v) in prefixes.iter().zip(&vs) {
                 assert_eq!(pre.planes(), k);
                 let (lo, hi) = pre.bounds().unwrap();
@@ -262,7 +269,60 @@ fn refinement_is_bit_equal_to_the_reference_walk() {
             }
         }
         // A full prefix is left alone.
-        assert_eq!(store.refine(&mut prefixes).unwrap(), 0);
+        assert_eq!(store.refine(&mut prefixes, 4).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn group_read_is_bit_equal_to_the_reference_walk() {
+    for (op, tag) in [(DeltaOp::Sub, "group-sub"), (DeltaOp::Xor, "group-xor")] {
+        let (store, vs, dir) = chain_store(op, tag);
+        // Every vertex, then duplicates and members sharing a chain
+        // prefix, out of order.
+        let mut members = vs.clone();
+        members.extend([vs[5], vs[2], vs[5], vs[0], vs[6], vs[3]]);
+        let reference: Vec<Vec<u32>> = members
+            .iter()
+            .map(|&v| reference::recreate(&dir, v))
+            .collect();
+        {
+            let _width = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+            for threads in [Some(1), None] {
+                mh_par::set_threads(threads);
+                let group = store.recreate_group_parallel(&members).unwrap();
+                let got: Vec<Vec<u32>> = group.iter().map(bits).collect();
+                assert_eq!(got, reference, "{op:?} at {threads:?} threads");
+            }
+            mh_par::set_threads(None);
+        }
+
+        // Refining to four planes at once equals four one-plane steps.
+        let prefixes =
+            || -> Vec<_> { vs.iter().map(|&v| store.plane_prefix(v).unwrap()).collect() };
+        let (mut at_once, mut stepwise) = (prefixes(), prefixes());
+        assert_eq!(store.refine(&mut at_once, 4).unwrap(), 4 * vs.len());
+        for k in 1..=4 {
+            store.refine(&mut stepwise, k).unwrap();
+        }
+        for (a, b) in at_once.iter().zip(&stepwise) {
+            assert_eq!(a.planes(), 4);
+            assert_eq!(bits(&a.to_matrix().unwrap()), bits(&b.to_matrix().unwrap()));
+        }
+
+        // Prefixes at different depths refine together: the deep chain
+        // needs planes 1..3 of its six objects, the shallow one planes
+        // 0..3 of the four it shares, so 2 * 6 + 4 distinct pairs.
+        let mut deep = store.plane_prefix(vs[5]).unwrap();
+        store.refine(std::slice::from_mut(&mut deep), 1).unwrap();
+        let mut mixed = [deep, store.plane_prefix(vs[3]).unwrap()];
+        assert_eq!(store.refine(&mut mixed, 3).unwrap(), 2 * 6 + 4);
+        for (pre, v) in mixed.iter().zip([vs[5], vs[3]]) {
+            let (lo, hi) = pre.bounds().unwrap();
+            let (rlo, rhi) = reference::bounds(&dir, v, 3);
+            assert_eq!(bits(&lo), f32_bits(&rlo), "{op:?} v{v} lo");
+            assert_eq!(bits(&hi), f32_bits(&rhi), "{op:?} v{v} hi");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -329,6 +389,7 @@ fn progressive_top1_equals_predict_cold_and_warm_at_any_width() {
     // Pool width is process-global; every width is swept inside this one
     // test, and the results are width-independent by construction, so
     // concurrently running tests are unaffected.
+    let _width = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     for (op, tag) in [(DeltaOp::Sub, "predict-sub"), (DeltaOp::Xor, "predict-xor")] {
         let m = model(op, tag);
         for threads in [Some(1), None] {
