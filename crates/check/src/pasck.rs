@@ -355,7 +355,7 @@ fn deep_check_store(root: &Path, store: &str, snap: &CatalogSnapshot, report: &m
     // output deterministic across thread counts. Each worker returns its
     // findings plus the bound width (None when bounds were unusable).
     let vertices: Vec<VertexId> = seg.vertices().collect();
-    let checked = mh_par::parallel_map(&vertices, |_, &v| {
+    let checked = mh_par::parallel_map(&vertices, |&v| {
         let loc = format!("pas/{store}:vertex{v}");
         let mut findings: Vec<(String, String)> = Vec::new();
         // One prefix per vertex: refined to DEEP_PLANES for the bounds,

@@ -112,6 +112,36 @@ fn clean_repo_has_zero_findings() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn two_archive_rounds_are_deep_clean() {
+    // Archive `a`, then commit `b` and archive again: two stores, each
+    // snapshot bound to the round that archived it.
+    let dir = temp_dir("two-rounds");
+    let repo = Repository::init(&dir).unwrap();
+    let net = zoo::lenet_s(3);
+    let w0 = Weights::init(&net, 1).unwrap();
+    let mut req = CommitRequest::new("a", net.clone());
+    req.snapshots = vec![(0, w0.clone()), (5, perturbed(&w0, 1e-3))];
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let mut req = CommitRequest::new("b", net.clone());
+    req.snapshots = vec![(0, perturbed(&w0, 2e-3)), (5, perturbed(&w0, 3e-3))];
+    req.parent = Some("a:1".into());
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+
+    let deep = fsck(&dir, &FsckConfig { deep: true }).unwrap();
+    assert!(deep.is_clean(), "deep findings: {:?}", deep.findings);
+    assert_eq!(deep.stores_checked, 2);
+    for snapshot in ["a:1/s0", "a:1/s1", "b:1/s0", "b:1/s1"] {
+        assert!(
+            deep.bounds.iter().any(|b| b.snapshot == snapshot),
+            "no bound for {snapshot}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- catalog corruption ----------------------------------------------
 
 #[test]

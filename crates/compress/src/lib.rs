@@ -113,7 +113,7 @@ impl Level {
 /// Reusable compression state: hash-chain tables and token buffer, so hot
 /// loops (per-plane compression during parallel archival) do not pay a
 /// fresh multi-hundred-KiB allocation per call. One `Scratch` per worker
-/// thread; see `mh_par::parallel_map_init`.
+/// thread; see `mh_par::parallel_map_batched`.
 #[derive(Debug, Default)]
 pub struct Scratch {
     matcher: lz77::MatcherScratch,

@@ -15,7 +15,7 @@ use mh_delta::DeltaOp;
 use mh_dnn::{accuracy, LogEntry, Network, Weights};
 use mh_pas::{apply_alpha_budgets, solver, CostModel, GraphBuilder, RetrievalScheme, SegmentStore};
 use mh_store::{Catalog, Column, ColumnType, Predicate, Row, Schema, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// A model version is identified by a human-readable name plus an
@@ -1000,8 +1000,18 @@ impl Repository {
         let mut builder = GraphBuilder::new(CostModel {
             level: cfg.level,
             delta_op: cfg.delta_op,
-            ..CostModel::default()
         });
+        // Each version's latest staged snapshot: kept at full precision
+        // and the endpoint of its lineage links.
+        let latest: BTreeMap<String, usize> = staged
+            .iter()
+            .map(|(_, key, snaps)| {
+                (
+                    key.to_string(),
+                    snaps.iter().map(|s| s.index).max().unwrap_or(0),
+                )
+            })
+            .collect();
         // Preload and decode every staged snapshot's weights on the worker
         // pool — blob decompression plus the lossy checkpoint round-trip
         // dominate archival wall-clock — then feed the graph builder
@@ -1011,17 +1021,17 @@ impl Repository {
             .iter()
             .flat_map(|(_, key, snaps)| {
                 let vname = key.to_string();
-                let latest_idx = snaps.iter().map(|s| s.index).max().unwrap_or(0);
+                let latest_idx = latest.get(&vname).copied();
                 snaps
                     .iter()
-                    .map(move |info| (vname.clone(), info.index, info.index == latest_idx))
+                    .map(move |info| (vname.clone(), info.index, Some(info.index) == latest_idx))
             })
             .collect();
         if sp.is_recording() {
             sp.field("snapshots", jobs.len());
         }
         let load_sp = mh_obs::span("dlv.archive.load_staged");
-        let loaded = mh_par::parallel_map(&jobs, |_, (vname, index, latest)| {
+        let loaded = mh_par::parallel_map(&jobs, |(vname, index, latest)| {
             let mut w = self.get_weights(vname, Some(*index))?;
             // Lossy checkpoint archival: round-trip non-latest snapshots
             // through the chosen float scheme.
@@ -1058,15 +1068,6 @@ impl Repository {
             builder.link_version_chain(&vname, &indices);
         }
         // Lineage links between latest snapshots.
-        let latest: BTreeMap<String, usize> = staged
-            .iter()
-            .map(|(_, key, snaps)| {
-                (
-                    key.to_string(),
-                    snaps.iter().map(|s| s.index).max().unwrap_or(0),
-                )
-            })
-            .collect();
         for (base, derived) in self.lineage() {
             if let (Some(&bs), Some(&ds)) = (latest.get(&base), latest.get(&derived)) {
                 builder.link_snapshots(&base, bs, &derived, ds);
@@ -1116,14 +1117,10 @@ impl Repository {
 
         // Flip snapshot locations and record vertex assignments; delete the
         // staged blobs afterwards.
-        let mut staged_files = Vec::new();
-        for (row_id, _, snaps) in &staged {
-            for info in snaps {
-                if let Some(rel) = info.location.strip_prefix("staged:") {
-                    staged_files.push((*row_id as i64, info.index as i64, rel.to_string()));
-                }
-            }
-        }
+        let staged_keys: BTreeSet<(i64, i64)> = assignments
+            .iter()
+            .map(|(mv, sidx, _)| (*mv, *sidx as i64))
+            .collect();
         let store_name2 = store_name.clone();
         let assignments2 = assignments.clone();
         // Persist the declared θ budgets and achieved recreation costs so
@@ -1176,7 +1173,7 @@ impl Repository {
                     .filter_map(|r| Some((r.id, r.values[0].as_int()?, r.values[1].as_int()?)))
                     .collect();
                 for (rid, mv, sidx) in rows {
-                    if staged_files.iter().any(|(m, s, _)| *m == mv && *s == sidx) {
+                    if staged_keys.contains(&(mv, sidx)) {
                         db.table_mut("snapshot")?.update(
                             rid,
                             "location",

@@ -246,29 +246,72 @@ fn malformed_pas_vertex_row_is_corrupt() {
 
 #[test]
 fn archive_exploits_deltas_across_checkpoints() {
-    let dir = temp_dir("delta-gain");
-    let repo = Repository::init(&dir).unwrap();
+    // At α = 1 every snapshot must recreate at its shortest-path cost, so
+    // each matrix is materialized; a loose α = 100 lets the checkpoint
+    // chain share structure through delta edges, which must show on disk.
     let (req, _) = trained_commit("m", 7, 9);
-    repo.commit(&req).unwrap();
-    let report = repo
-        .archive(&ArchiveConfig {
-            alpha: 100.0,
-            ..Default::default()
-        })
-        .unwrap();
-
-    // Compare against the naive footprint: every snapshot stored
-    // independently (compressed planes of each matrix).
-    let naive: f64 = {
-        // Re-init a fresh repo to access staged sizes easily: sum of each
-        // matrix's compressed planes = sum of materialize edge costs.
-        report.storage_cost // storage cost of the chosen plan
+    let archive_at = |tag: &str, alpha: f64| {
+        let dir = temp_dir(tag);
+        let repo = Repository::init(&dir).unwrap();
+        repo.commit(&req).unwrap();
+        let report = repo
+            .archive(&ArchiveConfig {
+                alpha,
+                ..Default::default()
+            })
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        report
     };
-    // The plan's storage cost should be noticeably below 3x a single
-    // snapshot (i.e. the chain shares structure instead of materializing
-    // all three).
-    assert!(naive > 0.0);
-    assert!(report.num_matrices == 3 * req.snapshots[0].1.len());
+    let tight = archive_at("delta-tight", 1.0);
+    let loose = archive_at("delta-loose", 100.0);
+    assert_eq!(loose.num_matrices, 3 * req.snapshots[0].1.len());
+    assert!(
+        loose.bytes_on_disk < tight.bytes_on_disk,
+        "α = 100 archive {} B !< α = 1 archive {} B",
+        loose.bytes_on_disk,
+        tight.bytes_on_disk
+    );
+}
+
+#[test]
+fn second_archive_round_gets_its_own_store() {
+    let dir = temp_dir("two-rounds");
+    let repo = Repository::init(&dir).unwrap();
+    let staged_weights = |name: &str| -> Vec<Weights> {
+        (0..3)
+            .map(|i| repo.get_weights(name, Some(i)).unwrap())
+            .collect()
+    };
+    repo.commit(&trained_commit("a", 3, 9).0).unwrap();
+    let before_a = staged_weights("a");
+    let first = repo.archive(&ArchiveConfig::default()).unwrap();
+    repo.commit(&trained_commit("b", 4, 9).0).unwrap();
+    let before_b = staged_weights("b");
+    let second = repo.archive(&ArchiveConfig::default()).unwrap();
+    assert_eq!(first.store.0, "store0000");
+    assert_eq!(second.store.0, "store0001");
+
+    // The first round's rows keep their store; only the newly staged
+    // snapshots move to the second one.
+    for (name, before, location) in [
+        ("a", &before_a, "pas:store0000"),
+        ("b", &before_b, "pas:store0001"),
+    ] {
+        let snaps = repo.snapshots(name).unwrap();
+        assert_eq!(snaps.len(), 3);
+        for info in &snaps {
+            assert_eq!(info.location, location, "{name} snapshot {}", info.index);
+        }
+        for (i, w) in before.iter().enumerate() {
+            assert_eq!(
+                &repo.get_weights(name, Some(i)).unwrap(),
+                w,
+                "{name} snapshot {i} must recreate exactly"
+            );
+        }
+    }
+    assert!(repo.fsck().is_empty(), "{:?}", repo.fsck());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,8 +3,9 @@
 //! The workspace's work-scheduling layer: a scoped worker pool fed from a
 //! bounded work queue, built on the workspace sync facade ([`sync`]). PAS
 //! archival, segment retrieval, progressive evaluation, solver candidate
-//! scoring, and `fsck --deep` all fan out through [`parallel_map`] and
-//! friends.
+//! scoring, and `fsck --deep` all fan out through its two maps:
+//! [`parallel_map`] (one task per item) and [`parallel_map_batched`]
+//! (byte-budgeted chunks with worker-local scratch).
 //!
 //! Design rules, in priority order:
 //!
@@ -19,9 +20,9 @@
 //! 3. **Bounded memory.** The queue holds at most a small multiple of the
 //!    thread count, so a fast producer cannot buffer the whole input.
 //!
-//! Thread-count resolution (first match wins): an explicit `*_threads`
-//! argument, the process-wide override set by [`set_threads`] (the CLI
-//! `--jobs` flag), the `MH_THREADS` environment variable, and finally
+//! Thread-count resolution (first match wins): the process-wide override
+//! set by [`set_threads`] (the CLI `--jobs` flag), the `MH_THREADS`
+//! environment variable, and finally
 //! [`std::thread::available_parallelism`].
 //!
 //! All shared-state primitives come from [`sync`] — std-backed by
@@ -95,8 +96,7 @@ pub enum TryPushError<T> {
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Install (Some) or clear (None) the process-wide thread override. Takes
-/// precedence over `MH_THREADS`; an explicit per-call thread count still
-/// wins over both.
+/// precedence over `MH_THREADS`.
 pub fn set_threads(n: Option<usize>) {
     THREAD_OVERRIDE.store(
         n.unwrap_or(0).max(usize::from(n.is_some())),
@@ -252,198 +252,54 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Map `f` over `items` with worker-local state, using the given number of
-/// worker threads, preserving input order in the output.
-///
-/// `init` runs once per worker (and once total on the serial path) to build
+/// Per-task payload budget of [`parallel_map_batched`]. Each queue task
+/// carries at least this many payload bytes (except possibly the final
+/// remainder chunk), so the per-task costs — one bounded-queue push/pop
+/// with its mutex/condvar traffic, one wait-histogram timestamp, one
+/// catch_unwind frame — are amortized over a quarter megabyte of real
+/// work instead of being paid per matrix plane.
+const BATCH_BYTES: usize = 256 * 1024;
+
+/// Map `f` over `items` on the worker pool at the ambient width
+/// ([`current_threads`]), one queue task per item, preserving input order
+/// in the output.
+pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, PoolError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    map_core(
+        current_threads(),
+        1,
+        items,
+        |_| 1,
+        || (),
+        |(), item| f(item),
+    )
+}
+
+/// [`parallel_map`] with worker-local state and byte-budgeted batching:
+/// contiguous runs of items are coalesced into chunks of at least 256 KiB
+/// of payload (per `weight`), and each chunk is one queue task. `init`
+/// runs once per worker (once in total on the serial path) to build
 /// reusable scratch state — e.g. compression buffers — so per-item
-/// allocation is amortized away.
-///
-/// With `threads <= 1` (or at most one item) everything runs inline on the
-/// caller's thread in input order: the deterministic serial fallback.
-/// Otherwise `threads` workers pull indices from a bounded queue
-/// (capacity `4 × threads`); a panicking worker discards pending work and
-/// is reported as [`PoolError::WorkerPanic`] after all threads joined.
-pub fn parallel_map_init<T, S, R, FI, F>(
-    threads: usize,
+/// allocation is amortized away. A payload that fits in one chunk runs
+/// inline on the caller's thread.
+pub fn parallel_map_batched<T, S, R, W, FI, F>(
     items: &[T],
+    weight: W,
     init: FI,
     f: F,
 ) -> Result<Vec<R>, PoolError>
 where
     T: Sync,
     R: Send,
+    W: Fn(&T) -> usize,
     FI: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        let mut scratch = init();
-        return Ok(items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut scratch, i, item))
-            .collect());
-    }
-
-    let queue: BoundedQueue<(usize, std::time::Instant)> = BoundedQueue::new(threads * 4);
-    let panic_slot: Mutex<Option<String>> = Mutex::new(None);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-
-    // Metric handles resolved once per call (and cached per call site);
-    // the submitting thread's trace context (trace id + open span) is
-    // re-established on the workers, keeping traces connected across the
-    // pool and across processes.
-    let parent_ctx = mh_obs::current_context();
-    let tasks = mh_obs::counter!("par_tasks_total");
-    let panics = mh_obs::counter!("par_worker_panics_total");
-    let depth = mh_obs::gauge!("par_queue_depth");
-    let wait_hist = mh_obs::histogram!("par_task_wait_us", mh_obs::DURATION_US_BUCKETS);
-    let run_hist = mh_obs::histogram!("par_task_run_us", mh_obs::DURATION_US_BUCKETS);
-
-    let worker_outputs: Result<Vec<Vec<(usize, R)>>, PoolError> = sync::thread::scope(|s| {
-        let queue = &queue;
-        let panic_slot = &panic_slot;
-        let f = &f;
-        let init = &init;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    // `init` may itself panic; treat it like a task panic.
-                    let mut scratch = match catch_unwind(AssertUnwindSafe(init)) {
-                        Ok(sc) => Some(sc),
-                        Err(p) => {
-                            panics.inc();
-                            *panic_slot.lock() = Some(panic_message(p));
-                            queue.close_and_discard();
-                            None
-                        }
-                    };
-                    while let Some((i, enqueued)) = queue.pop() {
-                        depth.sub(1);
-                        let Some(scratch) = scratch.as_mut() else {
-                            continue;
-                        };
-                        let Some(item) = items.get(i) else {
-                            continue;
-                        };
-                        tasks.inc();
-                        wait_hist.observe(enqueued.elapsed().as_micros() as f64);
-                        let run_start = sync::now();
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            mh_obs::with_context(parent_ctx, || f(scratch, i, item))
-                        }));
-                        match out {
-                            Ok(r) => {
-                                run_hist.observe(run_start.elapsed().as_micros() as f64);
-                                local.push((i, r));
-                            }
-                            Err(p) => {
-                                panics.inc();
-                                let mut slot = panic_slot.lock();
-                                if slot.is_none() {
-                                    *slot = Some(panic_message(p));
-                                }
-                                drop(slot);
-                                queue.close_and_discard();
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-
-        // Produce indices; a closed (poisoned) queue stops us early. The
-        // enqueue timestamp feeds the task-wait histogram.
-        for i in 0..items.len() {
-            if queue.push((i, sync::now())).is_err() {
-                break;
-            }
-            depth.add(1);
-        }
-        queue.close();
-
-        let mut outputs = Vec::with_capacity(threads);
-        for h in handles {
-            match h.join() {
-                Ok(local) => outputs.push(local),
-                // A panic that escaped catch_unwind (e.g. in the local
-                // Vec) still surfaces as an error, never a deadlock.
-                Err(p) => {
-                    panics.inc();
-                    let mut slot = panic_slot.lock();
-                    if slot.is_none() {
-                        *slot = Some(panic_message(p));
-                    }
-                }
-            }
-        }
-        if let Some(msg) = panic_slot.lock().take() {
-            return Err(PoolError::WorkerPanic(msg));
-        }
-        Ok(outputs)
-    });
-
-    // The failure path discards queued items wholesale, so the running
-    // add/sub bookkeeping can be left nonzero; the queue is gone either way.
-    depth.set(0);
-
-    for (i, r) in worker_outputs?.into_iter().flatten() {
-        if let Some(slot) = slots.get_mut(i) {
-            *slot = Some(r);
-        }
-    }
-    // Every index was produced and no worker failed, so every slot is full.
-    slots
-        .into_iter()
-        .collect::<Option<Vec<R>>>()
-        .ok_or_else(|| PoolError::WorkerPanic("result slot left unfilled".into()))
-}
-
-/// [`parallel_map_init`] without worker-local state.
-pub fn parallel_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, PoolError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_init(threads, items, || (), |(), i, item| f(i, item))
-}
-
-/// [`parallel_map_threads`] at the ambient thread count
-/// ([`current_threads`]).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, PoolError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_threads(current_threads(), items, f)
-}
-
-/// Default per-task payload budget for the batched maps. Each queue task
-/// carries at least this many payload bytes (except possibly the final
-/// remainder chunk), so the per-task costs — one bounded-queue
-/// push/pop with its mutex/condvar traffic, one wait-histogram
-/// timestamp, one catch_unwind frame — are amortized over a quarter
-/// megabyte of real work instead of being paid per matrix plane.
-pub const DEFAULT_BATCH_BYTES: usize = 256 * 1024;
-
-/// The effective batch budget: the `MH_BATCH_BYTES` environment
-/// variable when set to a positive integer, else
-/// [`DEFAULT_BATCH_BYTES`]. Tunable so perf investigations can sweep
-/// the batch size without a rebuild.
-pub fn batch_bytes() -> usize {
-    if let Ok(v) = std::env::var("MH_BATCH_BYTES") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    DEFAULT_BATCH_BYTES
+    map_core(current_threads(), BATCH_BYTES, items, weight, init, f)
 }
 
 /// Greedy contiguous chunking by byte weight: accumulate items left to
@@ -473,21 +329,23 @@ fn chunk_by_bytes<T, W: Fn(&T) -> usize>(
     out
 }
 
-/// [`parallel_map_init`] with byte-budgeted task batching: instead of
-/// one queue task per item, contiguous runs of items are coalesced into
-/// chunks of at least `budget` payload bytes (per `weight`), and each
-/// chunk is one task. A worker maps its chunk left to right with its
-/// local scratch, and chunk outputs are flattened in chunk order — so
-/// the output is in input order and bit-identical to the serial path at
-/// any thread count, exactly like [`parallel_map_init`].
+/// The one pool loop behind both maps, at an explicit width and batch
+/// budget. Items are cut into contiguous chunks of at least `budget`
+/// bytes (per `weight`); each chunk is one task, mapped left to right with
+/// the worker's local scratch, and chunk outputs are stitched back in
+/// chunk order — so the output is in input order and bit-identical to the
+/// serial path at any width.
 ///
-/// When only one chunk results (small total payload) or `threads <= 1`,
-/// everything runs inline on the caller's thread: tiny workloads never
-/// pay for the pool at all.
-pub fn parallel_map_batched_with<T, S, R, W, FI, F>(
+/// With `threads <= 1` or at most one chunk everything runs inline on the
+/// caller's thread in input order: the deterministic serial fallback.
+/// Otherwise up to `threads` workers pull chunk indices from a bounded
+/// queue (capacity `4 × threads`); a panicking worker discards pending
+/// work and is reported as [`PoolError::WorkerPanic`] after all threads
+/// joined.
+fn map_core<T, S, R, W, FI, F>(
     threads: usize,
-    items: &[T],
     budget: usize,
+    items: &[T],
     weight: W,
     init: FI,
     f: F,
@@ -497,66 +355,135 @@ where
     R: Send,
     W: Fn(&T) -> usize,
     FI: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
     let chunks = chunk_by_bytes(items, &weight, budget);
-    if threads == 1 || chunks.len() <= 1 {
+    let threads = threads.max(1).min(chunks.len().max(1));
+    if threads == 1 {
         let mut scratch = init();
-        return Ok(items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut scratch, i, item))
-            .collect());
+        return Ok(items.iter().map(|item| f(&mut scratch, item)).collect());
     }
     mh_obs::counter!("par_batched_items_total").add(items.len() as u64);
     mh_obs::counter!("par_batched_chunks_total").add(chunks.len() as u64);
-    let nested = parallel_map_init(threads, &chunks, init, |scratch, _, range| {
-        let base = range.start;
-        items
-            .get(range.clone())
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-            .map(|(k, item)| f(scratch, base + k, item))
-            .collect::<Vec<R>>()
-    })?;
-    Ok(nested.into_iter().flatten().collect())
-}
 
-/// [`parallel_map_batched_with`] at the ambient batch budget
-/// ([`batch_bytes`]).
-pub fn parallel_map_batched_init<T, S, R, W, FI, F>(
-    threads: usize,
-    items: &[T],
-    weight: W,
-    init: FI,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Sync,
-    R: Send,
-    W: Fn(&T) -> usize,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    parallel_map_batched_with(threads, items, batch_bytes(), weight, init, f)
-}
+    let queue: BoundedQueue<(usize, std::time::Instant)> = BoundedQueue::new(threads * 4);
+    let panic_slot: Mutex<Option<String>> = Mutex::new(None);
 
-/// [`parallel_map_batched_init`] without worker-local state.
-pub fn parallel_map_batched<T, R, W, F>(
-    threads: usize,
-    items: &[T],
-    weight: W,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Sync,
-    R: Send,
-    W: Fn(&T) -> usize,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_batched_init(threads, items, weight, || (), |(), i, item| f(i, item))
+    // Metric handles resolved once per call (and cached per call site);
+    // the submitting thread's trace context (trace id + open span) is
+    // re-established on the workers, keeping traces connected across the
+    // pool and across processes.
+    let parent_ctx = mh_obs::current_context();
+    let tasks = mh_obs::counter!("par_tasks_total");
+    let panics = mh_obs::counter!("par_worker_panics_total");
+    let depth = mh_obs::gauge!("par_queue_depth");
+    let wait_hist = mh_obs::histogram!("par_task_wait_us", mh_obs::DURATION_US_BUCKETS);
+    let run_hist = mh_obs::histogram!("par_task_run_us", mh_obs::DURATION_US_BUCKETS);
+
+    let worker_outputs: Result<Vec<(usize, Vec<R>)>, PoolError> = sync::thread::scope(|s| {
+        let queue = &queue;
+        let panic_slot = &panic_slot;
+        let chunks = &chunks;
+        let f = &f;
+        let init = &init;
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+                    // `init` may itself panic; treat it like a task panic.
+                    let mut scratch = match catch_unwind(AssertUnwindSafe(init)) {
+                        Ok(sc) => Some(sc),
+                        Err(p) => {
+                            panics.inc();
+                            *panic_slot.lock() = Some(panic_message(p));
+                            queue.close_and_discard();
+                            None
+                        }
+                    };
+                    while let Some((c, enqueued)) = queue.pop() {
+                        depth.sub(1);
+                        let Some(scratch) = scratch.as_mut() else {
+                            continue;
+                        };
+                        let Some(chunk) = chunks.get(c).and_then(|r| items.get(r.clone())) else {
+                            continue;
+                        };
+                        tasks.inc();
+                        wait_hist.observe(enqueued.elapsed().as_micros() as f64);
+                        let run_start = sync::now();
+                        let out = catch_unwind(AssertUnwindSafe(|| {
+                            mh_obs::with_context(parent_ctx, || {
+                                chunk.iter().map(|item| f(scratch, item)).collect()
+                            })
+                        }));
+                        match out {
+                            Ok(r) => {
+                                run_hist.observe(run_start.elapsed().as_micros() as f64);
+                                local.push((c, r));
+                            }
+                            Err(p) => {
+                                panics.inc();
+                                let mut slot = panic_slot.lock();
+                                if slot.is_none() {
+                                    *slot = Some(panic_message(p));
+                                }
+                                drop(slot);
+                                queue.close_and_discard();
+                            }
+                        }
+                    }
+                    local
+                })
+            })
+            .collect();
+
+        // Produce chunk indices; a closed (poisoned) queue stops us early.
+        // The enqueue timestamp feeds the task-wait histogram.
+        for c in 0..chunks.len() {
+            if queue.push((c, sync::now())).is_err() {
+                break;
+            }
+            depth.add(1);
+        }
+        queue.close();
+
+        let mut outputs = Vec::with_capacity(chunks.len());
+        for h in handles {
+            match h.join() {
+                Ok(local) => outputs.extend(local),
+                // A panic that escaped catch_unwind (e.g. in the local
+                // Vec) still surfaces as an error, never a deadlock.
+                Err(p) => {
+                    panics.inc();
+                    let mut slot = panic_slot.lock();
+                    if slot.is_none() {
+                        *slot = Some(panic_message(p));
+                    }
+                }
+            }
+        }
+        if let Some(msg) = panic_slot.lock().take() {
+            return Err(PoolError::WorkerPanic(msg));
+        }
+        Ok(outputs)
+    });
+
+    // The failure path discards queued items wholesale, so the running
+    // add/sub bookkeeping can be left nonzero; the queue is gone either way.
+    depth.set(0);
+
+    let mut slots: Vec<Option<Vec<R>>> = (0..chunks.len()).map(|_| None).collect();
+    for (c, r) in worker_outputs? {
+        if let Some(slot) = slots.get_mut(c) {
+            *slot = Some(r);
+        }
+    }
+    // Every chunk was produced and no worker failed, so every slot is full.
+    let chunk_outputs = slots
+        .into_iter()
+        .collect::<Option<Vec<Vec<R>>>>()
+        .ok_or_else(|| PoolError::WorkerPanic("result slot left unfilled".into()))?;
+    Ok(chunk_outputs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -565,37 +492,50 @@ mod tests {
     use std::time::Duration;
     use sync::atomic::AtomicBool;
 
+    /// Serialises the tests that run the pool with more than one worker.
+    /// Its metrics are process-global, and a model-checked execution
+    /// diverges on replay if another test's workers update the same
+    /// histogram while it runs.
+    pub(super) fn pool_lock() -> sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
+        LOCK.get_or_init(|| Mutex::new(())).lock()
+    }
+
     #[test]
     fn map_preserves_order_across_thread_counts() {
+        let _pool = pool_lock();
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8] {
-            let got = parallel_map_threads(threads, &items, |_, &x| x * 3 + 1).unwrap();
+            let got = map_core(threads, 1, &items, |_| 1, || (), |(), &x| x * 3 + 1).unwrap();
             assert_eq!(got, expect, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let got = parallel_map_threads(8, &Vec::<u32>::new(), |_, &x| x).unwrap();
+        let got = map_core(8, 1, &Vec::<u32>::new(), |_| 1, || (), |(), &x| x).unwrap();
         assert!(got.is_empty());
-        let got = parallel_map_threads(8, &[41], |_, &x| x + 1).unwrap();
+        let got = map_core(8, 1, &[41], |_| 1, || (), |(), &x| x + 1).unwrap();
         assert_eq!(got, vec![42]);
     }
 
     #[test]
     fn worker_local_state_is_reused() {
+        let _pool = pool_lock();
         // Count inits: must be <= threads, not per-item.
         let inits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..100).collect();
-        let got = parallel_map_init(
+        let got = map_core(
             4,
+            1,
             &items,
+            |_| 1,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 Vec::<u8>::with_capacity(64)
             },
-            |buf, _, &x| {
+            |buf, &x| {
                 buf.clear();
                 buf.extend_from_slice(&x.to_le_bytes());
                 buf.len()
@@ -608,15 +548,23 @@ mod tests {
 
     #[test]
     fn panic_in_worker_surfaces_as_error_not_deadlock() {
+        let _pool = pool_lock();
         // More items than queue capacity so the producer would block
         // forever if the poisoned queue did not discard pending work.
         let items: Vec<usize> = (0..10_000).collect();
-        let err = parallel_map_threads(2, &items, |_, &x| {
-            if x == 3 {
-                panic!("injected failure at {x}");
-            }
-            x
-        })
+        let err = map_core(
+            2,
+            1,
+            &items,
+            |_| 1,
+            || (),
+            |(), &x| {
+                if x == 3 {
+                    panic!("injected failure at {x}");
+                }
+                x
+            },
+        )
         .unwrap_err();
         let PoolError::WorkerPanic(msg) = err;
         assert!(msg.contains("injected failure"), "got: {msg}");
@@ -624,12 +572,15 @@ mod tests {
 
     #[test]
     fn panic_in_init_surfaces_as_error() {
+        let _pool = pool_lock();
         let items: Vec<usize> = (0..1000).collect();
-        let err = parallel_map_init(
+        let err = map_core(
             3,
+            1,
             &items,
+            |_| 1,
             || -> usize { panic!("init exploded") },
-            |_, _, &x| x,
+            |_, &x| x,
         )
         .unwrap_err();
         let PoolError::WorkerPanic(msg) = err;
@@ -640,8 +591,15 @@ mod tests {
     fn serial_fallback_runs_inline() {
         // With one thread the closure must run on the calling thread.
         let caller = std::thread::current().id();
-        let same = parallel_map_threads(1, &[0u8; 4], |_, _| std::thread::current().id() == caller)
-            .unwrap();
+        let same = map_core(
+            1,
+            1,
+            &[0u8; 4],
+            |_| 1,
+            || (),
+            |(), _| std::thread::current().id() == caller,
+        )
+        .unwrap();
         assert!(same.iter().all(|&b| b));
     }
 
@@ -789,6 +747,7 @@ mod tests {
 
     #[test]
     fn batched_map_matches_serial_across_widths_and_budgets() {
+        let _pool = pool_lock();
         // Payloads straddling the byte budget, single-item batches
         // (budget 1), and one giant chunk (budget MAX) must all produce
         // the exact serial output at every thread count.
@@ -796,15 +755,8 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * 7 + 5).collect();
         for budget in [1usize, 8, 64, 1 << 20, usize::MAX] {
             for threads in [1, 2, 3, 8] {
-                let got = parallel_map_batched_with(
-                    threads,
-                    &items,
-                    budget,
-                    |_| 16,
-                    || (),
-                    |(), _, &x| x * 7 + 5,
-                )
-                .unwrap();
+                let got =
+                    map_core(threads, budget, &items, |_| 16, || (), |(), &x| x * 7 + 5).unwrap();
                 assert_eq!(got, expect, "threads={threads} budget={budget}");
             }
         }
@@ -812,18 +764,19 @@ mod tests {
 
     #[test]
     fn batched_map_reuses_worker_scratch_and_reports_panics() {
+        let _pool = pool_lock();
         let inits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..200).collect();
-        let got = parallel_map_batched_with(
+        let got = map_core(
             4,
-            &items,
             4, // 1-byte items, 4-byte budget: 50 chunks
+            &items,
             |_| 1,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 0u64
             },
-            |acc, _, &x| {
+            |acc, &x| {
                 *acc += 1;
                 x + 1
             },
@@ -832,13 +785,13 @@ mod tests {
         assert_eq!(got, (1..=200).collect::<Vec<_>>());
         assert!(inits.load(Ordering::SeqCst) <= 4);
 
-        let err = parallel_map_batched_with(
+        let err = map_core(
             2,
-            &items,
             1,
+            &items,
             |_| 1,
             || (),
-            |(), _, &x| {
+            |(), &x| {
                 if x == 7 {
                     panic!("batched task failed at {x}");
                 }
@@ -855,33 +808,21 @@ mod tests {
         // A payload under the budget collapses to the serial path: the
         // closure runs on the calling thread, no pool is spun up.
         let caller = std::thread::current().id();
-        let same = parallel_map_batched_with(
+        let same = map_core(
             8,
-            &[0u8; 16],
             usize::MAX,
+            &[0u8; 16],
             |_| 1,
             || (),
-            |(), _, _| std::thread::current().id() == caller,
+            |(), _| std::thread::current().id() == caller,
         )
         .unwrap();
         assert!(same.iter().all(|&b| b));
     }
 
     #[test]
-    fn batch_bytes_env_override() {
-        // Note: process-global env; keep writes confined to this test.
-        std::env::set_var("MH_BATCH_BYTES", "4096");
-        assert_eq!(batch_bytes(), 4096);
-        std::env::set_var("MH_BATCH_BYTES", "not-a-number");
-        assert_eq!(batch_bytes(), DEFAULT_BATCH_BYTES);
-        std::env::remove_var("MH_BATCH_BYTES");
-        assert_eq!(batch_bytes(), DEFAULT_BATCH_BYTES);
-    }
-
-    #[test]
     fn thread_resolution_precedence() {
-        // Explicit argument beats everything (exercised throughout); the
-        // override beats the environment.
+        // The override beats the environment.
         set_threads(Some(3));
         assert_eq!(current_threads(), 3);
         set_threads(None);
@@ -999,6 +940,7 @@ mod model_tests {
 
     #[test]
     fn model_worker_panic_never_deadlocks() {
+        let _pool = super::tests::pool_lock();
         // The real worker-panic path through parallel_map: a panicking
         // task poisons the queue; the pool must surface WorkerPanic —
         // never hang — in every explored schedule.
@@ -1006,12 +948,19 @@ mod model_tests {
             .preemption_bound(1)
             .try_check(|| {
                 let items: Vec<usize> = (0..3).collect();
-                let err = parallel_map_threads(2, &items, |_, &x| {
-                    if x == 0 {
-                        panic!("injected worker failure");
-                    }
-                    x
-                })
+                let err = map_core(
+                    2,
+                    1,
+                    &items,
+                    |_| 1,
+                    || (),
+                    |(), &x| {
+                        if x == 0 {
+                            panic!("injected worker failure");
+                        }
+                        x
+                    },
+                )
                 .expect_err("the injected panic must surface");
                 let PoolError::WorkerPanic(msg) = err;
                 assert!(msg.contains("injected worker failure"), "{msg}");
@@ -1022,11 +971,13 @@ mod model_tests {
 
     #[test]
     fn model_parallel_map_result_correct_under_interleaving() {
+        let _pool = super::tests::pool_lock();
         let stats = mh_model::Builder::new()
             .preemption_bound(1)
             .try_check(|| {
                 let items: Vec<u32> = (0..3).collect();
-                let got = parallel_map_threads(2, &items, |_, &x| x * 2).expect("no worker fails");
+                let got =
+                    map_core(2, 1, &items, |_| 1, || (), |(), &x| x * 2).expect("no worker fails");
                 assert_eq!(got, vec![0, 2, 4], "order preserved in every schedule");
             })
             .expect("no race in result assembly");

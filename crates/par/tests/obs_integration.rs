@@ -2,15 +2,28 @@
 //! from many workers lose no updates, worker spans re-parent under the
 //! submitting span across threads, and the pool's own series are recorded.
 
-use mh_par::parallel_map_threads;
+use mh_par::{parallel_map, set_threads, PoolError};
 
 /// Serialises the tests in this file that drive the pool: every pool run
 /// feeds the process-global `par_tasks_total` / `par_task_*_us` series, so
 /// the exact-delta assertions in `pool_metrics_are_recorded` only hold
-/// while no other test is submitting work.
+/// while no other test is submitting work. The lock also guards the
+/// process-global pool width that `map_at` sets.
 fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`parallel_map`] at `threads` workers; call with [`pool_lock`] held.
+fn map_at<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Result<Vec<R>, PoolError> {
+    set_threads(Some(threads));
+    let out = parallel_map(items, f);
+    set_threads(None);
+    out
 }
 
 /// Hammer one global counter from pool workers across thread counts; the
@@ -22,7 +35,7 @@ fn concurrent_counter_increments_from_workers_lose_nothing() {
     let items: Vec<usize> = (0..4000).collect();
     let before = c.get();
     for threads in [2, 4, 8] {
-        parallel_map_threads(threads, &items, |_, _| {
+        map_at(threads, &items, |_| {
             c.inc();
         })
         .expect("map succeeds");
@@ -40,7 +53,7 @@ fn span_nesting_crosses_pool_threads() {
     let items: Vec<usize> = (0..64).collect();
     {
         let _submit = mh_obs::span("parit.submit");
-        parallel_map_threads(4, &items, |_, _| {
+        map_at(4, &items, |_| {
             let _task = mh_obs::span("parit.task");
         })
         .expect("map succeeds");
@@ -94,13 +107,13 @@ fn pool_metrics_are_recorded() {
 
     let (t0, r0, w0) = (tasks.get(), run_hist.count(), wait_hist.count());
     let items: Vec<usize> = (0..100).collect();
-    parallel_map_threads(3, &items, |_, &x| x * 2).expect("map succeeds");
+    map_at(3, &items, |&x| x * 2).expect("map succeeds");
     assert_eq!(tasks.get() - t0, 100);
     assert_eq!(run_hist.count() - r0, 100);
     assert_eq!(wait_hist.count() - w0, 100);
 
     let p0 = panics.get();
-    let err = parallel_map_threads(2, &items, |_, &x| {
+    let err = map_at(2, &items, |&x| {
         if x == 5 {
             panic!("boom");
         }

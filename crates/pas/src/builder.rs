@@ -24,35 +24,15 @@ use mh_dnn::Weights;
 use mh_tensor::{Matrix, SegmentedMatrix};
 use std::collections::BTreeMap;
 
-/// A storage tier: an alternative physical placement with its own
-/// storage/recreation trade-off (the paper's "remote storage option ...
-/// storage cost is lower and the recreation cost is higher" generalized to
-/// parallel edges). Multipliers apply to the measured baseline costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageTier {
-    pub name: &'static str,
-    pub storage_mult: f64,
-    pub recreation_mult: f64,
-}
+/// Weight of compressed bytes read in a recreation cost.
+const READ_WEIGHT: f64 = 1.0;
+/// Weight of uncompressed bytes reassembled in a recreation cost.
+const APPLY_WEIGHT: f64 = 0.25;
 
-impl StorageTier {
-    /// The default local tier (measured costs as-is).
-    pub fn local() -> Self {
-        Self {
-            name: "local",
-            storage_mult: 1.0,
-            recreation_mult: 1.0,
-        }
-    }
-
-    /// A remote/cold tier: cheaper capacity, slower reads.
-    pub fn remote() -> Self {
-        Self {
-            name: "remote",
-            storage_mult: 0.4,
-            recreation_mult: 5.0,
-        }
-    }
+/// Recreation cost of one storage option: the compressed bytes it reads
+/// plus the uncompressed bytes it reassembles, weighted.
+fn recreation_cost(compressed: f64, uncompressed: f64) -> f64 {
+    READ_WEIGHT * compressed + APPLY_WEIGHT * uncompressed
 }
 
 /// Cost-model knobs.
@@ -60,36 +40,15 @@ impl StorageTier {
 pub struct CostModel {
     /// Compression level used when measuring storage costs.
     pub level: Level,
-    /// Recreation cost = read_weight * compressed_bytes
-    ///                 + apply_weight * uncompressed_bytes.
-    pub read_weight: f64,
-    pub apply_weight: f64,
     /// Delta operator whose footprint defines delta edge costs.
     pub delta_op: DeltaOp,
-    /// Storage tiers; every candidate edge is offered once per tier
-    /// (parallel edges between the same vertices), letting the solvers
-    /// pick placements per matrix.
-    pub tiers: Vec<StorageTier>,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         Self {
             level: Level::Fast,
-            read_weight: 1.0,
-            apply_weight: 0.25,
             delta_op: DeltaOp::Sub,
-            tiers: vec![StorageTier::local()],
-        }
-    }
-}
-
-impl CostModel {
-    /// A local + remote two-tier configuration.
-    pub fn with_remote_tier() -> Self {
-        Self {
-            tiers: vec![StorageTier::local(), StorageTier::remote()],
-            ..Self::default()
         }
     }
 }
@@ -114,10 +73,6 @@ impl GraphBuilder {
         }
     }
 
-    fn recreation_cost(&self, compressed: f64, uncompressed: f64) -> f64 {
-        self.cost.read_weight * compressed + self.cost.apply_weight * uncompressed
-    }
-
     /// Register a snapshot's weights. Creates vertices, the co-usage group,
     /// and materialize edges. Returns the vertices per layer.
     pub fn add_snapshot(
@@ -132,12 +87,11 @@ impl GraphBuilder {
         // layers coalesce), then mutate the graph serially in layer order.
         let layers: Vec<(&String, &Matrix)> = weights.layers().collect();
         let level = self.cost.level;
-        let measured = mh_par::parallel_map_batched_init(
-            mh_par::current_threads(),
+        let measured = mh_par::parallel_map_batched(
             &layers,
             |(_, m)| m.len() * 4,
             mh_compress::Scratch::new,
-            |scratch, _, (_, m)| {
+            |scratch, (_, m)| {
                 let seg = SegmentedMatrix::from_matrix(m);
                 (0..4)
                     .map(|p| mh_compress::compressed_len_with(seg.plane(p), level, scratch))
@@ -151,16 +105,13 @@ impl GraphBuilder {
             let v = self.graph.add_vertex(&label);
             // Materialize option: segmented planes, individually compressed.
             let uncompressed = (m.len() * 4) as f64;
-            let rc = self.recreation_cost(compressed, uncompressed);
-            for tier in &self.cost.tiers {
-                self.graph.add_edge(
-                    NULL_VERTEX,
-                    v,
-                    EdgeKind::Materialize,
-                    compressed * tier.storage_mult,
-                    rc * tier.recreation_mult,
-                );
-            }
+            self.graph.add_edge(
+                NULL_VERTEX,
+                v,
+                EdgeKind::Materialize,
+                compressed,
+                recreation_cost(compressed, uncompressed),
+            );
             self.matrices.insert(v, m.clone());
             layer_vertices.insert(layer.clone(), v);
         }
@@ -170,84 +121,6 @@ impl GraphBuilder {
         self.snapshots
             .insert((version.to_string(), snap_idx), layer_vertices.clone());
         layer_vertices
-    }
-
-    /// Register a snapshot at *byte-segment granularity* (the §IV-C
-    /// generalization): each matrix becomes two vertices — its high-order
-    /// byte planes (0-1) and its low-order planes (2-3) — with separately
-    /// measured costs. Two co-usage groups are created: the full snapshot
-    /// (all segments; budget for full-precision retrieval) and a `…#hi`
-    /// preview group (high segments only; budget for partial-precision
-    /// queries like `dlv desc` plots and progressive evaluation).
-    ///
-    /// Combined with storage tiers this lets the solvers, e.g., keep the
-    /// high-order segments on fast local storage while pushing low-order
-    /// bytes to a cold tier.
-    pub fn add_snapshot_segmented(
-        &mut self,
-        version: &str,
-        snap_idx: usize,
-        weights: &Weights,
-    ) -> BTreeMap<String, (VertexId, VertexId)> {
-        // Measure both halves of every layer on the pool in byte-batched
-        // chunks, then register vertices in layer order.
-        let layers: Vec<(&String, &Matrix)> = weights.layers().collect();
-        let level = self.cost.level;
-        let measured = mh_par::parallel_map_batched_init(
-            mh_par::current_threads(),
-            &layers,
-            |(_, m)| m.len() * 4,
-            mh_compress::Scratch::new,
-            |scratch, _, (_, m)| {
-                let seg = SegmentedMatrix::from_matrix(m);
-                [[0usize, 1], [2, 3]].map(|planes| {
-                    planes
-                        .iter()
-                        .map(|&p| mh_compress::compressed_len_with(seg.plane(p), level, scratch))
-                        .sum::<usize>() as f64
-                })
-            },
-        )
-        .expect("cost measurement workers");
-        let mut out = BTreeMap::new();
-        let mut full_members = Vec::new();
-        let mut hi_members = Vec::new();
-        for ((layer, m), half_sizes) in layers.into_iter().zip(measured) {
-            let uncompressed_half = (m.len() * 2) as f64;
-            let mut halves = Vec::with_capacity(2);
-            for (suffix, cs) in ["hi", "lo"].into_iter().zip(half_sizes) {
-                let rc = self.recreation_cost(cs, uncompressed_half);
-                let v = self
-                    .graph
-                    .add_vertex(&format!("{version}/s{snap_idx}/{layer}#{suffix}"));
-                for tier in &self.cost.tiers {
-                    self.graph.add_edge(
-                        NULL_VERTEX,
-                        v,
-                        EdgeKind::Materialize,
-                        cs * tier.storage_mult,
-                        rc * tier.recreation_mult,
-                    );
-                }
-                halves.push(v);
-            }
-            let (hi, lo) = (halves[0], halves[1]);
-            full_members.push(hi);
-            full_members.push(lo);
-            hi_members.push(hi);
-            out.insert(layer.clone(), (hi, lo));
-        }
-        self.graph.add_snapshot(
-            &format!("{version}/s{snap_idx}"),
-            full_members,
-            f64::INFINITY,
-        );
-        self.graph.add_snapshot(
-            &format!("{version}/s{snap_idx}#hi"),
-            hi_members,
-            f64::INFINITY,
-        );
-        out
     }
 
     /// Add delta edges between two registered snapshots for every layer
@@ -282,17 +155,15 @@ impl GraphBuilder {
         // (weight = both endpoint payloads), add edges serially.
         let level = self.cost.level;
         let op = self.cost.delta_op;
-        let (rw, aw) = (self.cost.read_weight, self.cost.apply_weight);
         let matrices = &self.matrices;
-        let measured = mh_par::parallel_map_batched_init(
-            mh_par::current_threads(),
+        let measured = mh_par::parallel_map_batched(
             &jobs,
             |&(va, vb)| {
                 4 * (matrices.get(&va).map_or(0, |m| m.len())
                     + matrices.get(&vb).map_or(0, |m| m.len()))
             },
             mh_compress::Scratch::new,
-            |scratch, _, &(va, vb)| {
+            |scratch, &(va, vb)| {
                 let planes_size = |bytes: &[u8], scratch: &mut mh_compress::Scratch| {
                     mh_tensor::split_byte_planes(bytes, 4)
                         .iter()
@@ -303,32 +174,18 @@ impl GraphBuilder {
                 // Forward delta a -> b.
                 let dab = Delta::compute(ma, mb, op);
                 let s_ab = planes_size(&dab.word_bytes(), scratch);
-                let rc_ab = rw * s_ab + aw * (mb.len() * 4) as f64;
+                let rc_ab = recreation_cost(s_ab, (mb.len() * 4) as f64);
                 // Backward delta b -> a.
                 let dba = Delta::compute(mb, ma, op);
                 let s_ba = planes_size(&dba.word_bytes(), scratch);
-                let rc_ba = rw * s_ba + aw * (ma.len() * 4) as f64;
+                let rc_ba = recreation_cost(s_ba, (ma.len() * 4) as f64);
                 (s_ab, rc_ab, s_ba, rc_ba)
             },
         )
         .expect("delta measurement workers");
         for (&(va, vb), (s_ab, rc_ab, s_ba, rc_ba)) in jobs.iter().zip(measured) {
-            for tier in &self.cost.tiers {
-                self.graph.add_edge(
-                    va,
-                    vb,
-                    EdgeKind::Delta,
-                    s_ab * tier.storage_mult,
-                    rc_ab * tier.recreation_mult,
-                );
-                self.graph.add_edge(
-                    vb,
-                    va,
-                    EdgeKind::Delta,
-                    s_ba * tier.storage_mult,
-                    rc_ba * tier.recreation_mult,
-                );
-            }
+            self.graph.add_edge(va, vb, EdgeKind::Delta, s_ab, rc_ab);
+            self.graph.add_edge(vb, va, EdgeKind::Delta, s_ba, rc_ba);
         }
     }
 
@@ -337,14 +194,6 @@ impl GraphBuilder {
         for pair in snapshot_indices.windows(2) {
             self.link_snapshots(version, pair[0], version, pair[1]);
         }
-    }
-
-    /// The vertex of a specific layer matrix, if registered.
-    pub fn vertex_of(&self, version: &str, snap_idx: usize, layer: &str) -> Option<VertexId> {
-        self.snapshots
-            .get(&(version.to_string(), snap_idx))?
-            .get(layer)
-            .copied()
     }
 
     /// Members of a registered snapshot group.
@@ -357,10 +206,6 @@ impl GraphBuilder {
     /// Finish, returning the graph and the matrix contents.
     pub fn finish(self) -> (StorageGraph, BTreeMap<VertexId, Matrix>) {
         (self.graph, self.matrices)
-    }
-
-    pub fn graph(&self) -> &StorageGraph {
-        &self.graph
     }
 }
 
@@ -498,128 +343,5 @@ mod tests {
         let base =
             spt.snapshot_recreation_cost(&g, &g.snapshots[0].members, RetrievalScheme::Independent);
         assert!((g.snapshots[0].budget - 1.5 * base).abs() < 1e-6);
-    }
-}
-
-#[cfg(test)]
-mod tier_tests {
-    use super::*;
-    use crate::plan::RetrievalScheme;
-    use mh_dnn::{zoo, Weights};
-
-    #[test]
-    fn two_tiers_create_parallel_edges() {
-        let mut b = GraphBuilder::new(CostModel::with_remote_tier());
-        let net = zoo::lenet_s(3);
-        let w = Weights::init(&net, 1).unwrap();
-        b.add_snapshot("v", 0, &w);
-        let (g, _) = b.finish();
-        // Every matrix has two materialize options (local + remote).
-        for v in g.matrix_vertices() {
-            let mats: Vec<_> = g
-                .incoming(v)
-                .iter()
-                .map(|&e| g.edge(e))
-                .filter(|e| e.kind == EdgeKind::Materialize)
-                .collect();
-            assert_eq!(mats.len(), 2);
-            // Remote = cheaper storage, costlier recreation.
-            let (a, b) = (mats[0], mats[1]);
-            let (local, remote) = if a.storage_cost < b.storage_cost {
-                (b, a)
-            } else {
-                (a, b)
-            };
-            assert!(remote.storage_cost < local.storage_cost);
-            assert!(remote.recreation_cost > local.recreation_cost);
-        }
-    }
-
-    #[test]
-    fn tight_budgets_choose_local_loose_choose_remote() {
-        let mut b = GraphBuilder::new(CostModel::with_remote_tier());
-        let net = zoo::lenet_s(3);
-        let w = Weights::init(&net, 2).unwrap();
-        b.add_snapshot("v", 0, &w);
-        let (graph, _) = b.finish();
-        let scheme = RetrievalScheme::Independent;
-
-        // Tight: α = 1 forces shortest recreation = local placements.
-        let mut tight = graph.clone();
-        apply_alpha_budgets(&mut tight, 1.0, scheme).unwrap();
-        let plan_t = solver::pas_mt(&tight, scheme).unwrap();
-        assert!(plan_t.satisfies_budgets(&tight, scheme));
-
-        // Loose: α huge lets the MST pick the cheap remote tier.
-        let mut loose = graph.clone();
-        apply_alpha_budgets(&mut loose, 1e9, scheme).unwrap();
-        let plan_l = solver::pas_mt(&loose, scheme).unwrap();
-        assert!(
-            plan_l.storage_cost(&loose) < plan_t.storage_cost(&tight),
-            "loose budgets must unlock the cheap tier: {} !< {}",
-            plan_l.storage_cost(&loose),
-            plan_t.storage_cost(&tight)
-        );
-        // And the loose plan's recreation is worse — the trade was real.
-        let rc_t = plan_t.snapshot_recreation_cost(&tight, &tight.snapshots[0].members, scheme);
-        let rc_l = plan_l.snapshot_recreation_cost(&loose, &loose.snapshots[0].members, scheme);
-        assert!(rc_l > rc_t);
-    }
-
-    #[test]
-    fn segment_granularity_with_tiers_splits_placement() {
-        // High-order segments must answer preview queries fast (tight #hi
-        // budget); low-order segments are free to go remote. The optimal
-        // plan therefore mixes tiers within one matrix — the paper's
-        // "decisions at a very fine granularity".
-        let mut b = GraphBuilder::new(CostModel::with_remote_tier());
-        let net = zoo::lenet_s(3);
-        let w = Weights::init(&net, 3).unwrap();
-        b.add_snapshot_segmented("v", 0, &w);
-        let (mut graph, _) = b.finish();
-        let scheme = RetrievalScheme::Independent;
-
-        // Budgets: preview group at its SPT optimum (forces local hi),
-        // full group unconstrained (lets lo go remote).
-        let spt = solver::spt(&graph).unwrap();
-        for i in 0..graph.snapshots.len() {
-            let s = &graph.snapshots[i];
-            let budget = if s.name.ends_with("#hi") {
-                spt.snapshot_recreation_cost(&graph, &s.members, scheme)
-            } else {
-                f64::INFINITY
-            };
-            graph.snapshots[i].budget = budget;
-        }
-        let plan = solver::pas_mt(&graph, scheme).unwrap();
-        assert!(plan.satisfies_budgets(&graph, scheme));
-
-        // Classify placements by comparing the chosen edge against the two
-        // available materialize options.
-        let placement = |v: VertexId| -> &'static str {
-            let chosen = graph.edge(plan.parent_edge(v).unwrap());
-            let cheapest_storage = graph
-                .incoming(v)
-                .iter()
-                .map(|&e| graph.edge(e).storage_cost)
-                .fold(f64::INFINITY, f64::min);
-            if (chosen.storage_cost - cheapest_storage).abs() < 1e-9 {
-                "remote"
-            } else {
-                "local"
-            }
-        };
-        let mut hi_local = 0;
-        let mut lo_remote = 0;
-        for v in graph.matrix_vertices() {
-            let label = graph.label(v).to_string();
-            match (label.ends_with("#hi"), placement(v)) {
-                (true, "local") => hi_local += 1,
-                (false, "remote") => lo_remote += 1,
-                _ => {}
-            }
-        }
-        assert!(hi_local > 0, "some high segments pinned local");
-        assert!(lo_remote > 0, "some low segments offloaded remote");
     }
 }

@@ -4,8 +4,7 @@
 //! version, plus the distinguished empty matrix ν₀. Edges are *storage
 //! options*: materializing a matrix (an edge from ν₀) or storing a delta
 //! against another matrix. Each edge carries a storage cost and a
-//! recreation cost; parallel edges between the same pair model alternative
-//! storage tiers or encodings.
+//! recreation cost.
 
 /// Index of a vertex in the storage graph. `NULL_VERTEX` (0) is ν₀.
 pub type VertexId = usize;

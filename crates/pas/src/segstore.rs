@@ -178,12 +178,11 @@ impl SegmentStore {
         // vertex order, so the store layout is bit-identical regardless of
         // thread count or batch budget.
         let vertices: Vec<VertexId> = graph.matrix_vertices().collect();
-        let encoded = mh_par::parallel_map_batched_init(
-            mh_par::current_threads(),
+        let encoded = mh_par::parallel_map_batched(
             &vertices,
             |&v| matrices.get(&v).map_or(0, |m| m.len() * 4),
             mh_compress::Scratch::new,
-            |scratch, _, &v| encode_object(graph, plan, matrices, op, level, v, scratch),
+            |scratch, &v| encode_object(graph, plan, matrices, op, level, v, scratch),
         )
         .map_err(PasError::from)?;
         let mut objects = BTreeMap::new();
@@ -526,10 +525,10 @@ impl SegmentStore {
             );
         }
         let planes = mh_par::parallel_map_batched(
-            mh_par::current_threads(),
             &jobs,
             |&(o, p)| plane_weight(o, p),
-            |_, &(o, p)| self.load_plane(o, p),
+            || (),
+            |(), &(o, p)| self.load_plane(o, p),
         )
         .map_err(PasError::from)?;
         for (&(o, p), plane) in jobs.iter().zip(planes) {

@@ -448,10 +448,10 @@ fn repair_impl(
         let verts: Vec<VertexId> = graph.matrix_vertices().collect();
         let members_scanned: usize = violated_members.iter().map(|(_, m)| m.len()).sum();
         let per_vertex: Vec<Option<(f64, VertexId, EdgeId)>> = mh_par::parallel_map_batched(
-            mh_par::current_threads(),
             &verts,
             |&v| SCORING_EDGE_WEIGHT * (graph.incoming(v).len() + members_scanned),
-            |_, &v| score_vertex(v),
+            || (),
+            |(), &v| score_vertex(v),
         )
         .expect("scoring workers");
         let mut best: Option<(f64, VertexId, EdgeId)> = None;

@@ -4,10 +4,9 @@
 //! thread count — and a failing worker must surface an error, never a
 //! deadlock or a poisoned caller.
 //!
-//! All thread-count sweeps live in ONE #[test] because the worker-pool
-//! width (`mh_par::set_threads`) is process-global and the libtest harness
-//! runs tests concurrently; the error-path tests below only touch
-//! explicit-width APIs or a store that fails identically at any width.
+//! The worker-pool width (`mh_par::set_threads`) is process-global and the
+//! libtest harness runs tests concurrently, so every test here holds
+//! `width_lock` while it runs.
 
 #![allow(clippy::unwrap_used)] // test/bench/demo code: panics are failures
 use mh_compress::Level;
@@ -16,6 +15,13 @@ use mh_pas::{solver, CostModel, GraphBuilder, PasError, SegmentStore, StorageGra
 use mh_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// Serialises the tests in this file: each one sets or relies on the
+/// process-global pool width.
+fn width_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mh-parstress-{tag}-{}", std::process::id()));
@@ -65,56 +71,46 @@ fn dir_fingerprint(dir: &Path) -> StoreFingerprint {
 }
 
 #[test]
-fn archival_and_retrieval_bit_identical_across_thread_counts_and_batch_budgets() {
+fn archival_and_retrieval_bit_identical_across_thread_counts() {
+    let _width = width_lock();
     let (graph, mats) = build_graph();
     let plan = solver::mst(&graph).unwrap();
     let verts: Vec<VertexId> = graph.matrix_vertices().collect();
 
-    // Budget sweep straddles the batching boundaries: 1 byte forces one
-    // chunk per item (maximum fan-out, a boundary after every matrix),
-    // 4096 lands chunk boundaries mid-snapshot, and None is the default
-    // quarter-megabyte budget (this workload coalesces to few chunks).
-    // This test binary is its own process and these are the only tests
-    // that read the env var, so the writes below race nothing.
+    // Batch-budget independence of the pool itself is covered by mh-par's
+    // own unit tests; here the width sweep runs at the fixed budget.
     let mut baseline: Option<(StoreFingerprint, Vec<Matrix>)> = None;
-    for budget in [Some("1"), Some("4096"), None] {
-        match budget {
-            Some(b) => std::env::set_var("MH_BATCH_BYTES", b),
-            None => std::env::remove_var("MH_BATCH_BYTES"),
+    for threads in [1usize, 2, 8] {
+        mh_par::set_threads(Some(threads));
+        let dir = temp_dir(&format!("sweep-{threads}"));
+        let store =
+            SegmentStore::create(&dir, &graph, &plan, &mats, DeltaOp::Sub, Level::Fast).unwrap();
+        let files = dir_fingerprint(&dir);
+        let group = store.recreate_group_parallel(&verts).unwrap();
+        // Per-vertex retrieval agrees with the group path at this width.
+        for (m, &v) in group.iter().zip(&verts) {
+            assert!(
+                bit_equal(m, &store.recreate(v).unwrap()),
+                "group vs single retrieval diverged at {threads} threads"
+            );
         }
-        for threads in [1usize, 2, 8] {
-            mh_par::set_threads(Some(threads));
-            let dir = temp_dir(&format!("sweep-{threads}-{}", budget.unwrap_or("def")));
-            let store = SegmentStore::create(&dir, &graph, &plan, &mats, DeltaOp::Sub, Level::Fast)
-                .unwrap();
-            let files = dir_fingerprint(&dir);
-            let group = store.recreate_group_parallel(&verts).unwrap();
-            // Per-vertex retrieval agrees with the group path at this width.
-            for (m, &v) in group.iter().zip(&verts) {
-                assert!(
-                    bit_equal(m, &store.recreate(v).unwrap()),
-                    "group vs single retrieval diverged at {threads} threads"
+        match &baseline {
+            None => baseline = Some((files, group)),
+            Some((base_files, base_group)) => {
+                assert_eq!(
+                    base_files, &files,
+                    "store layout differs at {threads} threads"
                 );
-            }
-            match &baseline {
-                None => baseline = Some((files, group)),
-                Some((base_files, base_group)) => {
-                    assert_eq!(
-                        base_files, &files,
-                        "store layout differs at {threads} threads, budget {budget:?}"
+                for (a, b) in base_group.iter().zip(&group) {
+                    assert!(
+                        bit_equal(a, b),
+                        "retrieved matrices differ at {threads} threads"
                     );
-                    for (a, b) in base_group.iter().zip(&group) {
-                        assert!(
-                            bit_equal(a, b),
-                            "retrieved matrices differ at {threads} threads, budget {budget:?}"
-                        );
-                    }
                 }
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::env::remove_var("MH_BATCH_BYTES");
     mh_par::set_threads(None);
 }
 
@@ -122,7 +118,8 @@ fn archival_and_retrieval_bit_identical_across_thread_counts_and_batch_budgets()
 fn failing_worker_surfaces_error_not_deadlock() {
     // A chunk deleted after create makes some recreation chains fail inside
     // pool workers. The parallel group call must return Err (not hang, not
-    // panic), at an explicit width so the process-global stays untouched.
+    // panic).
+    let _width = width_lock();
     let (graph, mats) = build_graph();
     let plan = solver::mst(&graph).unwrap();
     let verts: Vec<VertexId> = graph.matrix_vertices().collect();
@@ -151,15 +148,19 @@ fn injected_panic_propagates_through_pool_with_pas_error_conversion() {
     // Drive the pool directly with a panicking closure over PAS inputs and
     // check the PasError::from conversion the archival paths rely on: the
     // producer must not deadlock and the panic message must survive.
+    let _width = width_lock();
     let (graph, _) = build_graph();
     let verts: Vec<VertexId> = graph.matrix_vertices().collect();
     assert!(verts.len() >= 8, "need enough items to keep the queue busy");
-    let result = mh_par::parallel_map_threads(4, &verts, |i, &v| {
-        if i == verts.len() / 2 {
+    let failing = verts[verts.len() / 2];
+    mh_par::set_threads(Some(4));
+    let result = mh_par::parallel_map(&verts, |&v| {
+        if v == failing {
             panic!("injected failure on vertex {v}");
         }
         v
     });
+    mh_par::set_threads(None);
     let err = PasError::from(result.unwrap_err());
     let msg = err.to_string();
     assert!(
