@@ -41,8 +41,8 @@ pub mod wfile;
 
 pub use diff::{diff, DiffReport};
 pub use hub::{
-    committed_manifest, create_standard_dirs, replace_published, validate_rel_path,
-    validate_repo_name, verify_pulled, Hub, HubBackend, ManifestEntry, SearchHit,
+    committed_manifest, pull_into, replace_published, validate_rel_path, validate_repo_name, Hub,
+    HubBackend, ManifestEntry, SearchHit, Source,
 };
 pub use repo::{
     ArchiveConfig, ArchiveId, ArchiveReport, CommitRequest, Repository, SnapshotInfo, VersionDesc,
@@ -77,6 +77,9 @@ pub enum DlvError {
     Hub(String),
     /// A pulled repository failed post-transfer integrity verification.
     Verify(String),
+    /// A hub commit names an object (by hash) that was neither uploaded
+    /// nor held by the previous publication.
+    MissingObject(String),
 }
 
 impl std::fmt::Display for DlvError {
@@ -108,6 +111,9 @@ impl std::fmt::Display for DlvError {
             Self::Hub(m) => write!(f, "hub error: {m}"),
             Self::Verify(m) => {
                 write!(f, "pulled repository failed verification: {m}")
+            }
+            Self::MissingObject(h) => {
+                write!(f, "object {h} neither uploaded nor already held")
             }
         }
     }

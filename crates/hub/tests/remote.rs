@@ -4,7 +4,7 @@
 //! by client retry/backoff — or surface as typed errors, never a hang.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
-use mh_dlv::{committed_manifest, DlvError, HubBackend, Repository};
+use mh_dlv::{committed_manifest, DlvError, Hub, HubBackend, Repository};
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
 use mh_hub::{HubError, HubServer, RemoteHub};
 use std::path::PathBuf;
@@ -99,6 +99,39 @@ fn publish_search_pull_roundtrip_over_socket() {
         backend.pull("missing/name", &temp_dir("rt-x").join("y")),
         Err(DlvError::NoSuchVersion(_) | DlvError::Hub(_))
     ));
+    server.stop();
+}
+
+#[test]
+fn directory_hub_and_hubd_publish_and_pull_the_same_content() {
+    let dir = temp_dir("both-repo");
+    let repo = sample_repo(&dir, "lenet-both", 25);
+    let local_root = temp_dir("both-local");
+    let local = Hub::open(&local_root).unwrap();
+    let (server, client) = start_server("both");
+    local.publish(&repo, "team/both").unwrap();
+    client.publish_repo(&repo, "team/both").unwrap();
+
+    let pulls = temp_dir("both-pull");
+    let from_local = local.pull("team/both", &pulls.join("local")).unwrap();
+    let from_remote = client
+        .pull_repo("team/both", &pulls.join("remote"))
+        .unwrap();
+    let published = |root: &std::path::Path| {
+        committed_manifest(&Repository::open(&root.join("team/both")).unwrap()).unwrap()
+    };
+    let want = committed_manifest(&repo).unwrap();
+    for (what, got) in [
+        ("directory hub publication", published(&local_root)),
+        ("hubd publication", published(server.root())),
+        (
+            "pull from directory hub",
+            committed_manifest(&from_local).unwrap(),
+        ),
+        ("pull from hubd", committed_manifest(&from_remote).unwrap()),
+    ] {
+        assert_eq!(got, want, "{what} differs from the source repository");
+    }
     server.stop();
 }
 
