@@ -28,6 +28,7 @@
 
 pub mod cache;
 pub mod client;
+mod handlers;
 pub mod http;
 pub mod protocol;
 pub mod reactor;
