@@ -156,11 +156,6 @@ impl ObjectCache {
         }
     }
 
-    /// Total byte budget across all shards.
-    pub fn budget(&self) -> usize {
-        self.shard_budget.saturating_mul(SHARD_COUNT)
-    }
-
     /// Largest entry the cache can ever admit (the per-shard budget).
     /// Anything bigger is served without touching the cache.
     pub fn admissible_max(&self) -> usize {
@@ -289,13 +284,10 @@ pub fn object_key(hash: &str) -> String {
     format!("object:{hash}")
 }
 
-/// Cache key for a repo's published manifest response.
+/// Cache key for a repo's published manifest response, and the
+/// invalidation prefix covering it (which also covers every repo whose
+/// name extends this one: over-invalidation is safe).
 pub fn manifest_key(name: &str) -> String {
-    format!("manifest:{name}")
-}
-
-/// Invalidation prefix covering every manifest entry of one repo.
-pub fn manifest_prefix(name: &str) -> String {
     format!("manifest:{name}")
 }
 
@@ -390,7 +382,7 @@ mod tests {
         c.put(&manifest_key("alexnet-v2"), val(10));
         c.put(&manifest_key("resnet"), val(10));
         c.put(&object_key("abcd"), val(10));
-        c.invalidate_prefix(&manifest_prefix("alexnet"));
+        c.invalidate_prefix(&manifest_key("alexnet"));
         // Prefix match: "alexnet" also covers "alexnet-v2" — that is the
         // conservative direction (over-invalidation is safe).
         assert!(c.get(&manifest_key("alexnet")).is_none());
@@ -408,7 +400,7 @@ mod tests {
         // loses the race to a publish's invalidation, then tries to cache
         // what it read: the put must be refused.
         let gen = c.generation();
-        c.invalidate_prefix(&manifest_prefix("alexnet"));
+        c.invalidate_prefix(&manifest_key("alexnet"));
         c.put_if_current(&manifest_key("alexnet"), val(10), gen);
         assert!(
             c.get(&manifest_key("alexnet")).is_none(),
@@ -419,7 +411,7 @@ mod tests {
         c.put_if_current(&manifest_key("alexnet"), val(10), gen);
         assert!(c.get(&manifest_key("alexnet")).is_some());
         // Plain puts (content-addressed objects) are unaffected.
-        c.invalidate_prefix(&manifest_prefix("alexnet"));
+        c.invalidate_prefix(&manifest_key("alexnet"));
         c.put(&object_key("abcd"), val(10));
         assert!(c.get(&object_key("abcd")).is_some());
     }
