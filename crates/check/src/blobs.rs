@@ -101,8 +101,8 @@ pub fn check(root: &Path, snap: &CatalogSnapshot, report: &mut FsckReport) {
             );
             continue;
         }
-        if let Ok(manifest) = crate::pasck::Manifest::parse_file(&dir.join("manifest.mhp")) {
-            if !manifest.objects.iter().any(|o| o.vertex as i64 == *vertex) {
+        if let Ok(manifest) = crate::pasck::read_manifest(&dir) {
+            if !manifest.iter().any(|o| o.vertex as i64 == *vertex) {
                 report.error(
                     B_DANGLING_PAS_VERTEX,
                     format!("pas/{store}"),

@@ -516,6 +516,52 @@ fn duplicate_manifest_vertex_row() {
 }
 
 #[test]
+fn non_numeric_rows_field_is_a_bad_manifest_to_both_checkers() {
+    let dir = build_repo("badrows");
+    let store = store_dir(&dir);
+    edit_manifest(&store, |i, line| {
+        if i == 1 {
+            let mut f: Vec<&str> = line.split('\t').collect();
+            f[3] = "x";
+            return f.join("\t");
+        }
+        line.to_string()
+    });
+    let report = run(&dir);
+    assert!(
+        codes(&report).contains(&mh_check::P_BAD_MANIFEST),
+        "{:?}",
+        report.findings
+    );
+    let problems = Repository::open(&dir).unwrap().fsck();
+    assert!(!problems.is_empty(), "the store must not open either");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn duplicate_vertex_row_fails_the_repository_check_too() {
+    let dir = build_repo("duprepo");
+    let store = store_dir(&dir);
+    let target = first_delta_line(&store);
+    let path = store.join("manifest.mhp");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let dup = text.lines().nth(target).unwrap().to_string();
+    std::fs::write(&path, format!("{text}{dup}\n")).unwrap();
+    let report = run(&dir);
+    assert!(
+        codes(&report).contains(&mh_check::P_DUPLICATE_VERTEX),
+        "{:?}",
+        report.findings
+    );
+    let problems = Repository::open(&dir).unwrap().fsck();
+    assert!(
+        problems.iter().any(|p| p.contains("duplicate vertex")),
+        "{problems:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stray_file_in_store_is_an_orphan_warning() {
     let dir = build_repo("strayplane");
     let store = store_dir(&dir);

@@ -54,7 +54,9 @@ pub use builder::{apply_alpha_budgets, CostModel, GraphBuilder};
 pub use graph::{Edge, EdgeId, EdgeKind, SnapshotGroup, StorageGraph, VertexId, NULL_VERTEX};
 pub use plan::{PlanError, RetrievalScheme, StoragePlan};
 pub use progressive::{BatchStats, ModelBinding, ProgressiveEvaluator, ProgressiveResult};
-pub use segstore::{Histogram, PlanePrefix, SegmentStore};
+pub use segstore::{
+    parse_manifest, plane_file_name, Histogram, ManifestRow, ObjectKind, PlanePrefix, SegmentStore,
+};
 
 /// Pre-register this crate's metric series in the global mh-obs registry
 /// so they appear (at zero) in `/metrics` before any PAS work runs.
