@@ -64,8 +64,8 @@ impl Delta {
     /// Compute the delta that recreates `target` from `base`.
     ///
     /// Same-shape pairs (the overwhelmingly common archival case — every
-    /// snapshot of one layer has one shape) take a SIMD fast path over
-    /// the flat word arrays; the positional fallback handles crop/extend.
+    /// snapshot of one layer has one shape) take a fast path over the
+    /// flat word arrays; the positional fallback handles crop/extend.
     /// Both produce identical words: the flat loop visits elements in
     /// the same row-major order with the same wrapping integer ops.
     pub fn compute(base: &Matrix, target: &Matrix, op: DeltaOp) -> Self {
@@ -252,7 +252,7 @@ mod tests {
     fn same_shape_fast_path_matches_positional_path() {
         // Force the positional path by cropping a (rows+1) base down to
         // the target shape element-for-element, then compare against the
-        // same-shape SIMD path on the identical element values.
+        // same-shape flat path on the identical element values.
         for (rows, cols) in [(1, 1), (3, 5), (7, 9), (16, 16), (5, 33)] {
             let target = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32).sin());
             let base_same = Matrix::from_fn(rows, cols, |r, c| ((r + c) as f32).cos() * 0.7);
