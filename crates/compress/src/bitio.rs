@@ -47,11 +47,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of complete bytes plus any partial byte currently buffered.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len() + usize::from(self.nbits > 0)
-    }
-
     /// Pad the final partial byte with zero bits and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -139,11 +134,6 @@ impl<'a> BitReader<'a> {
         self.acc >>= n;
         self.nbits -= n;
         Ok(())
-    }
-
-    /// Total bits remaining (including buffered ones).
-    pub fn bits_remaining(&self) -> usize {
-        (self.data.len() - self.pos) * 8 + self.nbits as usize
     }
 }
 

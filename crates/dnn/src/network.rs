@@ -289,25 +289,6 @@ impl Network {
             .collect())
     }
 
-    /// Insert a new layer on the edge `from -> to` (the DQL `insert`
-    /// mutation: split an outgoing edge).
-    pub fn insert_between(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        name: &str,
-        kind: LayerKind,
-    ) -> Result<NodeId, NetworkError> {
-        if !self.edges.contains(&(from, to)) {
-            return Err(NetworkError::NoSuchNode(to));
-        }
-        let id = self.add_layer(name, kind)?;
-        self.edges.remove(&(from, to));
-        self.edges.insert((from, id));
-        self.edges.insert((id, to));
-        Ok(id)
-    }
-
     /// Insert a new layer after `after`, rerouting all of `after`'s outgoing
     /// edges through it.
     pub fn insert_after(

@@ -55,13 +55,6 @@ impl Value {
         }
     }
 
-    pub fn as_blob(&self) -> Option<&[u8]> {
-        match self {
-            Value::Blob(b) => Some(b),
-            _ => None,
-        }
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }

@@ -99,11 +99,6 @@ impl Tensor3 {
         Matrix::from_vec(1, self.data.len(), self.data.clone())
     }
 
-    /// View a flat vector as a C×H×W tensor.
-    pub fn from_flat(c: usize, h: usize, w: usize, flat: &[f32]) -> Self {
-        Self::from_vec(c, h, w, flat.to_vec())
-    }
-
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
             c: self.c,
