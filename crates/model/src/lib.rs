@@ -42,10 +42,9 @@
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace
 //! graph: `mh_par::sync` re-exports [`sync`] as the workspace facade
-//! under the `model` feature, and [`lockorder`] powers a cheap always-on
-//! deadlock-potential detector in plain debug builds.
+//! under the `model` feature.
 
-pub mod lockorder;
+mod lockorder;
 mod rt;
 pub mod sync;
 

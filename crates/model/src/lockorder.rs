@@ -1,17 +1,8 @@
 //! Lock-order tracking: a directed graph of "held A while acquiring B"
 //! edges with cycle detection. A cycle means two code paths acquire the
 //! same locks in opposite orders — a latent deadlock even if no schedule
-//! explored so far actually deadlocked (finding code `M003`).
-//!
-//! Two users:
-//! * the model checker keeps a per-execution [`Graph`] keyed by lock
-//!   address;
-//! * [`debug_acquire`]/[`debug_release`] implement a cheap **always-on
-//!   detector for plain debug builds**, keyed by each lock's *creation
-//!   site* (file/line/column), so ordinary `cargo test` runs flag
-//!   inversions between lock classes without any model feature. Edges
-//!   between two locks of the same class are skipped (many instances of
-//!   one class are routinely nested, e.g. two different queues).
+//! explored so far actually deadlocked (finding code `M003`). The model
+//! checker keeps one [`Graph`] per execution, keyed by lock address.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -79,82 +70,6 @@ impl<K: Eq + Hash + Clone> Graph<K> {
         }
         None
     }
-}
-
-// ---------------------------------------------------------------------------
-// Debug-build global detector
-// ---------------------------------------------------------------------------
-
-/// A lock's class: its creation site.
-pub type LockClass = (&'static str, u32, u32);
-
-#[doc(hidden)]
-pub fn class_of(loc: &'static std::panic::Location<'static>) -> LockClass {
-    (loc.file(), loc.line(), loc.column())
-}
-
-struct DebugState {
-    graph: Graph<LockClass>,
-}
-
-fn debug_state() -> &'static std::sync::Mutex<DebugState> {
-    static STATE: std::sync::OnceLock<std::sync::Mutex<DebugState>> = std::sync::OnceLock::new();
-    STATE.get_or_init(|| {
-        std::sync::Mutex::new(DebugState {
-            graph: Graph::new(),
-        })
-    })
-}
-
-thread_local! {
-    static HELD: std::cell::RefCell<Vec<LockClass>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn fmt_class(c: &LockClass) -> String {
-    format!("{}:{}:{}", c.0, c.1, c.2)
-}
-
-/// Record that the calling thread is acquiring a lock of class `class`
-/// while (possibly) holding others. Panics with an `M003` report when the
-/// cross-class acquisition graph acquires a cycle. Intended to be called
-/// only in debug builds (the facade compiles the calls out in release).
-pub fn debug_acquire(class: LockClass) {
-    let cycle = HELD.with(|h| {
-        let held = h.borrow();
-        if held.is_empty() {
-            return None;
-        }
-        let mut st = debug_state().lock().unwrap_or_else(|e| e.into_inner());
-        for held_class in held.iter() {
-            if *held_class == class {
-                continue;
-            }
-            if let Some(cycle) = st.graph.add_edge(*held_class, class) {
-                return Some(cycle);
-            }
-        }
-        None
-    });
-    HELD.with(|h| h.borrow_mut().push(class));
-    if let Some(cycle) = cycle {
-        let names: Vec<String> = cycle.iter().map(fmt_class).collect();
-        panic!(
-            "mh-model [M003] lock-order cycle between lock classes: {}\n\
-             (locks created at these sites are acquired in conflicting orders; \
-             a schedule interleaving these paths can deadlock)",
-            names.join(" -> ")
-        );
-    }
-}
-
-/// Record that the calling thread released a lock of class `class`.
-pub fn debug_release(class: LockClass) {
-    HELD.with(|h| {
-        let mut held = h.borrow_mut();
-        if let Some(i) = held.iter().rposition(|c| *c == class) {
-            held.remove(i);
-        }
-    });
 }
 
 #[cfg(test)]

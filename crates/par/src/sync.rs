@@ -5,15 +5,11 @@
 //! clock — through this module (`mh_par::sync`; enforced by the
 //! `tools/lint-scan` source lint). Two backends:
 //!
-//! * **default**: thin wrappers over `std::sync` with poisoning swallowed
-//!   (a panicking holder releases the lock; condition loops re-check
-//!   state anyway). The mutex/condvar pairing is a single coherent
-//!   implementation — previously `BoundedQueue` paired a `parking_lot`
-//!   mutex with a `std` condvar, which only type-checked because the
-//!   vendored stub re-exported std's guard. In debug builds, exclusive
-//!   lock acquisitions additionally feed a cheap always-on lock-order
-//!   cycle detector ([`mh_model::lockorder`], finding code `M003`);
-//!   release builds compile the calls out entirely.
+//! * **default**: `std::sync` with poisoning swallowed (a panicking
+//!   holder releases the lock; condition loops re-check state anyway).
+//!   The lock types are thin wrappers whose methods return std's own
+//!   guards. Lock ordering is checked statically by `mh-audit` (R003)
+//!   and, under the model backend, per execution (M003).
 //! * **`model` feature**: re-exports [`mh_model::sync`] — instrumented
 //!   primitives whose every operation is a scheduling point for the
 //!   deterministic model checker (`mh_model::check`), and which fall
@@ -29,9 +25,9 @@ pub use mh_model::sync::*;
 
 #[cfg(not(feature = "model"))]
 mod std_backend {
-    use mh_model::lockorder::LockClass;
-    use std::mem::ManuallyDrop;
-    use std::ops::{Deref, DerefMut};
+    use std::sync::PoisonError;
+
+    pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
     /// Which backend the facade compiled to (surfaced by
     /// `modelhub fsck --version`).
@@ -42,217 +38,80 @@ mod std_backend {
         std::time::Instant::now()
     }
 
-    #[cfg(debug_assertions)]
-    fn class_here() -> LockClass {
-        mh_model::lockorder::class_of(std::panic::Location::caller())
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn class_here() -> LockClass {
-        ("", 0, 0)
-    }
-
-    fn debug_acquire(class: LockClass) {
-        #[cfg(debug_assertions)]
-        mh_model::lockorder::debug_acquire(class);
-        #[cfg(not(debug_assertions))]
-        let _ = class;
-    }
-
-    fn debug_release(class: LockClass) {
-        #[cfg(debug_assertions)]
-        mh_model::lockorder::debug_release(class);
-        #[cfg(not(debug_assertions))]
-        let _ = class;
-    }
-
-    /// A mutual-exclusion lock over `std::sync::Mutex`, without
-    /// poisoning. Each lock's *class* is its creation site; debug builds
-    /// maintain a global class-level acquisition-order graph and panic
-    /// with an `M003` report when two call paths acquire lock classes in
-    /// conflicting orders (a latent deadlock, caught without the model).
+    /// `std::sync::Mutex` without poisoning: `lock` returns std's guard.
     #[derive(Debug, Default)]
-    pub struct Mutex<T: ?Sized> {
-        class: LockClass,
-        inner: std::sync::Mutex<T>,
-    }
+    pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
     impl<T> Mutex<T> {
-        #[track_caller]
         pub fn new(value: T) -> Self {
-            Mutex {
-                class: class_here(),
-                inner: std::sync::Mutex::new(value),
-            }
+            Mutex(std::sync::Mutex::new(value))
         }
 
         pub fn into_inner(self) -> T {
-            self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+            self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
     impl<T: ?Sized> Mutex<T> {
         pub fn lock(&self) -> MutexGuard<'_, T> {
-            debug_acquire(self.class);
-            MutexGuard {
-                class: self.class,
-                inner: ManuallyDrop::new(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
-            }
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
         pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+            self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
-    pub struct MutexGuard<'a, T: ?Sized> {
-        class: LockClass,
-        inner: ManuallyDrop<std::sync::MutexGuard<'a, T>>,
-    }
-
-    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-        fn drop(&mut self) {
-            debug_release(self.class);
-            // SAFETY: dropped exactly once, here.
-            unsafe { ManuallyDrop::drop(&mut self.inner) }
-        }
-    }
-
-    /// A condition variable paired with [`Mutex`] (one coherent std
-    /// implementation underneath).
+    /// `std::sync::Condvar` without poisoning, paired with [`Mutex`].
     #[derive(Debug, Default)]
-    pub struct Condvar {
-        inner: std::sync::Condvar,
-    }
+    pub struct Condvar(std::sync::Condvar);
 
     impl Condvar {
         pub fn new() -> Self {
-            Condvar {
-                inner: std::sync::Condvar::new(),
-            }
+            Condvar(std::sync::Condvar::new())
         }
 
         /// Atomically release the guard's mutex and wait; reacquire
-        /// before returning. May wake spuriously. The lock-order state is
-        /// carried through the wait (the lock is logically re-held on
-        /// return, and the thread acquires nothing while parked).
-        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            let class = guard.class;
-            // SAFETY: `guard` is forgotten right after, so the inner
-            // guard is not double-dropped and Drop's release never runs.
-            let std_guard = unsafe { ManuallyDrop::take(&mut guard.inner) };
-            std::mem::forget(guard);
-            let std_guard = self
-                .inner
-                .wait(std_guard)
-                .unwrap_or_else(|e| e.into_inner());
-            MutexGuard {
-                class,
-                inner: ManuallyDrop::new(std_guard),
-            }
+        /// before returning. May wake spuriously.
+        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+            self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
         }
 
         pub fn notify_one(&self) {
-            self.inner.notify_one();
+            self.0.notify_one();
         }
 
         pub fn notify_all(&self) {
-            self.inner.notify_all();
+            self.0.notify_all();
         }
     }
 
-    /// A reader-writer lock over `std::sync::RwLock` (parking_lot-style
-    /// API: `read`/`write` return guards directly, no poisoning). Only
-    /// write acquisitions feed the debug lock-order detector — read-side
-    /// tracking would be noisy for a cheap always-on check; the model
-    /// backend covers reads.
+    /// `std::sync::RwLock` without poisoning (parking_lot-style API:
+    /// `read`/`write` return std's guards directly).
     #[derive(Debug, Default)]
-    pub struct RwLock<T: ?Sized> {
-        class: LockClass,
-        inner: std::sync::RwLock<T>,
-    }
+    pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
     impl<T> RwLock<T> {
-        #[track_caller]
         pub fn new(value: T) -> Self {
-            RwLock {
-                class: class_here(),
-                inner: std::sync::RwLock::new(value),
-            }
+            RwLock(std::sync::RwLock::new(value))
         }
 
         pub fn into_inner(self) -> T {
-            self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+            self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
     impl<T: ?Sized> RwLock<T> {
         pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            RwLockReadGuard {
-                inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
-            }
+            self.0.read().unwrap_or_else(PoisonError::into_inner)
         }
 
         pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            debug_acquire(self.class);
-            RwLockWriteGuard {
-                class: self.class,
-                inner: ManuallyDrop::new(self.inner.write().unwrap_or_else(|e| e.into_inner())),
-            }
+            self.0.write().unwrap_or_else(PoisonError::into_inner)
         }
 
         pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    pub struct RwLockReadGuard<'a, T: ?Sized> {
-        inner: std::sync::RwLockReadGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    pub struct RwLockWriteGuard<'a, T: ?Sized> {
-        class: LockClass,
-        inner: ManuallyDrop<std::sync::RwLockWriteGuard<'a, T>>,
-    }
-
-    impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            debug_release(self.class);
-            // SAFETY: dropped exactly once, here.
-            unsafe { ManuallyDrop::drop(&mut self.inner) }
+            self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
