@@ -3,8 +3,8 @@
 //! Three layers on top of [`crate::effects`] blocking-effect inference:
 //!
 //! * **Nonblocking zones** (R001/R002) — walks the call graph from every
-//!   `// mh-audit: nonblocking_zone` entry (the hubd reactor loop, the
-//!   completion handoff) and flags each directly-blocking operation in a
+//!   `// mh-audit: nonblocking_zone` entry (event-loop code that must
+//!   never park) and flags each directly-blocking operation in a
 //!   reachable function: R001 for blocking synchronization (lock
 //!   acquire, condvar wait, sleep, pool/thread join), R002 for blocking
 //!   file/socket I/O. Mirrors the `no_panic_zone` machinery.
@@ -17,8 +17,8 @@
 //!   seed is recorded: guard-held blocking I/O is R004, guard-held
 //!   pool-wait (worker-exhaustion deadlock) is R005.
 //! * **Lock-order graph** (R003) — lock identities are static classes
-//!   derived from the acquire's receiver chain (`self.inner.lock()` in
-//!   an `impl CompletionQueue` → `mh_par::CompletionQueue.inner`; local
+//!   derived from the acquire's receiver chain (`self.state.lock()` in
+//!   an `impl BoundedQueue` → `mh_par::BoundedQueue.state`; local
 //!   receivers key on the crate + variable name). Every acquisition
 //!   made while another guard is held — directly or transitively through
 //!   calls — adds an order edge; a strongly-connected component of two

@@ -13,9 +13,9 @@
 //! masked to the low nibble), each with its own facade mutex, entry
 //! map, and LRU tick index — so concurrent readers on different shards
 //! never contend, and the per-shard budget is `total / 16`. Values are
-//! `Arc<Vec<u8>>`: a cache hit hands the reactor a zero-copy reference
-//! it can queue on a connection's write buffer while the entry remains
-//! (or stops being) cached.
+//! `Arc<Vec<u8>>`: a cache hit hands the connection a zero-copy
+//! reference it can stage in its response while the entry remains (or
+//! stops being) cached.
 //!
 //! An entry larger than its shard's whole budget is never admitted —
 //! one giant object must not wipe a shard. Hit/miss/eviction counters

@@ -1,6 +1,7 @@
 //! hubd's request handlers: map a parsed request to the hub operation
-//! it names and stage the response. [`crate::server`] owns the sockets,
-//! the reactor and the worker pool; everything here runs on a worker.
+//! it names and stage the response. [`crate::server`] owns the sockets
+//! and the connection threads; everything here runs on a connection
+//! thread holding a handler slot.
 //! Publication and negotiation are `mh_dlv::Hub`'s, shared with the
 //! directory hub; this module keeps only the wire format around them.
 

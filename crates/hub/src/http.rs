@@ -16,7 +16,7 @@ pub const MAX_BODY_BYTES: u64 = 1 << 30;
 const MAX_HEADERS: usize = 64;
 
 /// Upper bound on a buffered request head (request line + headers).
-/// The reactor rejects a connection whose head grows past this without
+/// The server rejects a connection whose head grows past this without
 /// terminating — a slowloris sending one header byte at a time hits the
 /// per-state deadline first, but a fast sender of endless headers hits
 /// this cap immediately.
@@ -58,9 +58,9 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// A request head parsed incrementally from a connection's read buffer
-/// (the reactor path): everything except the body, plus how many buffer
-/// bytes the head consumed.
+/// A request head parsed incrementally from a connection's read buffer:
+/// everything except the body, plus how many buffer bytes the head
+/// consumed.
 #[derive(Debug)]
 pub struct RequestHead {
     pub method: String,
@@ -76,8 +76,8 @@ pub struct RequestHead {
 
 /// Byte offset just past the head terminator (the blank line), if the
 /// buffer holds a complete head yet. Accepts `\r\n\r\n` and bare `\n\n`
-/// (and the mixed forms), matching the tolerant line reader used by the
-/// blocking parser.
+/// (and the mixed forms), matching the tolerant line reader that parses
+/// the head's lines.
 fn head_end(buf: &[u8]) -> Option<usize> {
     for (idx, w) in buf.windows(2).enumerate() {
         if w == b"\n\n" {
@@ -134,9 +134,8 @@ pub fn parse_request_head(buf: &[u8]) -> Result<Option<RequestHead>, HubError> {
     }))
 }
 
-/// Render a response head as bytes for a reactor write buffer. Same
-/// shape as [`write_response_head`], plus an optional `Retry-After`
-/// (the backpressure signal on a 503).
+/// Render a response head as bytes, with an optional `Retry-After` (the
+/// backpressure signal on a 503).
 pub fn response_head_bytes(status: u16, content_length: u64, retry_after: Option<u32>) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Length: {content_length}\r\nContent-Type: application/octet-stream\r\nConnection: close\r\n",
@@ -147,43 +146,6 @@ pub fn response_head_bytes(status: u16, content_length: u64, retry_after: Option
     }
     head.push_str("\r\n");
     head.into_bytes()
-}
-
-/// Read and parse one request (line, headers, body).
-// mh-audit: no_panic_zone
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, HubError> {
-    let line = read_line(r)?;
-    let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m, t, v),
-        _ => return Err(HubError::Protocol(format!("bad request line '{line}'"))),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HubError::Protocol(format!(
-            "unsupported version '{version}'"
-        )));
-    }
-    let headers = read_headers(r)?;
-    let content_length = headers.content_length;
-    if content_length > MAX_BODY_BYTES {
-        return Err(HubError::Protocol(format!(
-            "request body too large ({content_length} bytes)"
-        )));
-    }
-    let mut body = vec![0u8; content_length as usize];
-    r.read_exact(&mut body)
-        .map_err(|e| HubError::ConnectionDropped(format!("mid-request-body: {e}")))?;
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
-    Ok(Request {
-        method: method.to_string(),
-        path,
-        query,
-        trace: headers.trace,
-        body,
-    })
 }
 
 /// Headers this protocol subset cares about.
@@ -241,20 +203,6 @@ pub fn write_request<W: Write>(
     w.write_all(b"\r\n")?;
     w.write_all(body)?;
     w.flush()
-}
-
-/// Write a response head; the caller follows with exactly
-/// `content_length` body bytes.
-pub fn write_response_head<W: Write>(
-    w: &mut W,
-    status: u16,
-    content_length: u64,
-) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {}\r\nContent-Length: {content_length}\r\nContent-Type: application/octet-stream\r\nConnection: close\r\n\r\n",
-        status_reason(status)
-    )
 }
 
 /// Read a response status line + headers.
@@ -315,12 +263,12 @@ mod tests {
         .unwrap();
         // No trace context → no header on the wire.
         assert!(!String::from_utf8_lossy(&wire).contains("mh-trace"));
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
+        let req = parse_request_head(&wire).unwrap().expect("complete head");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/objects/m");
         assert_eq!(req.query.as_deref(), Some("x=1"));
         assert_eq!(req.trace, SpanContext::NONE);
-        assert_eq!(req.body, b"have1\nhave2\n");
+        assert_eq!(&wire[req.head_len..], b"have1\nhave2\n");
     }
 
     #[test]
@@ -333,10 +281,6 @@ mod tests {
         write_request(&mut wire, "GET", "/manifest/m", "h:1", ctx, b"").unwrap();
         let text = String::from_utf8_lossy(&wire);
         assert!(text.contains("mh-trace: 0123456789abcdef0011223344556677 99\r\n"));
-        // Blocking parse sees it …
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(req.trace, ctx);
-        // … and the incremental reactor parse agrees.
         let head = parse_request_head(&wire).unwrap().expect("complete");
         assert_eq!(head.trace, ctx);
     }
@@ -359,8 +303,7 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let mut wire = Vec::new();
-        write_response_head(&mut wire, 404, 5).unwrap();
+        let mut wire = response_head_bytes(404, 5, None);
         wire.extend_from_slice(b"gone\n");
         let mut r = BufReader::new(&wire[..]);
         let head = read_response_head(&mut r).unwrap();
@@ -370,9 +313,8 @@ mod tests {
 
     #[test]
     fn garbage_is_a_protocol_error() {
-        let mut r = BufReader::new(&b"NOT-HTTP\r\n\r\n"[..]);
         assert!(matches!(
-            read_request(&mut r).unwrap_err(),
+            parse_request_head(b"NOT-HTTP\r\n\r\n").unwrap_err(),
             HubError::Protocol(_)
         ));
     }

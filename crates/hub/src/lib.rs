@@ -21,9 +21,9 @@
 //! re-negotiates from what already arrived. Every pulled repository is
 //! fsck'd before the pull reports success.
 //!
-//! The server dispatches accepted connections to a fixed worker pool fed
-//! from `mh_par::BoundedQueue` (width: `--jobs` / `MH_THREADS` / core
-//! count) and exports per-endpoint request/byte/error counters at
+//! The server serves each accepted connection on a blocking thread of its
+//! own, routes at most `--jobs` requests at once (default: `MH_THREADS` /
+//! core count), and exports per-endpoint request/byte/error counters at
 //! `GET /stats`.
 
 pub mod cache;
@@ -31,7 +31,6 @@ pub mod client;
 mod handlers;
 pub mod http;
 pub mod protocol;
-pub mod reactor;
 pub mod server;
 pub mod stats;
 

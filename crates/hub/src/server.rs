@@ -1,42 +1,40 @@
-//! `hubd` — the hosted hub server, built on a nonblocking reactor.
+//! `hubd` — the hosted hub server, one blocking thread per connection.
 //!
-//! One reactor thread owns every socket: a nonblocking listener, a wake
-//! socket, and up to `--max-conns` client connections, multiplexed
-//! through [`crate::reactor::Poller`] (epoll on Linux, portable
-//! fallback elsewhere). Each connection is a small state machine:
+//! One thread blocks in `accept` and hands every admitted socket to a
+//! thread of its own, which serves exactly one request:
 //!
 //! ```text
-//!   accept ──▶ Reading ──▶ Dispatched ──▶ Writing ──▶ close
-//!                │  (request complete:      ▲  │
-//!                │   job → mh_par pool)     │  └─ partial writes resume
-//!                │                          │     on EPOLLOUT
-//!                └─ parse error ────────────┘  (completion queue + wake
-//!                   (error response)            socket re-enter reactor)
+//!   accept ──▶ read head ──▶ reserve body ──▶ read body ──▶ handler slot ──▶ route ──▶ write ──▶ close
+//!     │                          │
+//!     └─ over --max-conns: 503   └─ over the body budget: 503
 //! ```
 //!
-//! CPU-bound request handling (manifest diffing, hash verification,
-//! publish assembly) runs on the fixed `mh_par` worker pool; finished
-//! responses come back through an `mh_par::CompletionQueue` whose waker
-//! writes one byte to the wake socket, so the reactor never misses a
-//! completion while parked in the poller (the handoff discipline is
-//! model-checked in `mh_par::completion`).
+//! Admission is counted under one lock ([`Admission`]): open
+//! connections, their peak, the `--max-conns` cap and the aggregate
+//! [`BodyBudget`]. Backpressure answers `503` + `Retry-After` in two
+//! places: at accept once `--max-conns` connections are open (counted
+//! in `hub_connections_rejected_total`), and after the head when a
+//! declared request body would overrun the budget (counted in
+//! `hub_body_rejected_total`). CPU-bound request handling (manifest
+//! diffing, hash verification, publish assembly) is capped at `--jobs`
+//! requests at once; a complete request waits for a free handler slot.
 //!
-//! Two timeout axes defend every connection slot: an **idle timeout**
-//! (no read/write progress) and a **per-state deadline** (maximum wall
-//! time in one state, which a byte-at-a-time slowloris cannot reset by
-//! trickling traffic). Backpressure answers `503` + `Retry-After` in
-//! two places: at accept once `--max-conns` connections are open
-//! (counted in `hub_connections_rejected_total`), and at head-parse
-//! when a declared request body would overrun the reactor-wide
-//! [`BodyBudget`] (counted in `hub_body_rejected_total`). A full worker
-//! queue is *not* a rejection: complete requests park FIFO in
-//! `ConnState::Queued` and retry as completions free slots. Hot objects
-//! and manifest responses serve from the byte-budgeted
-//! [`crate::cache::ObjectCache`] as zero-copy `Arc` segments on the
-//! write buffer; payloads past the per-response
-//! [`RESPONSE_LOAD_BUDGET`] (or too large for the cache to ever admit)
-//! stream lazily from disk in bounded chunks, so per-connection staged
-//! memory stays bounded no matter how large the repo.
+//! Two timeout axes defend every connection: an **idle timeout** (no
+//! read/write progress) and a **state deadline** (maximum wall time
+//! reading one request, or waiting for a handler slot, which a
+//! byte-at-a-time slowloris cannot reset by trickling traffic). Every
+//! socket read is bounded by `min(idle timeout, time left before the
+//! deadline)`, every socket write by the idle timeout. Hot objects and
+//! manifest responses serve from the byte-budgeted
+//! [`crate::cache::ObjectCache`] as zero-copy `Arc` segments; payloads
+//! past the per-response `RESPONSE_LOAD_BUDGET` (or too large for the
+//! cache to ever admit) stream from disk in [`FILE_CHUNK`] pieces, so
+//! per-connection staged memory stays bounded no matter how large the
+//! repo.
+//!
+//! [`HubServer::stop`] wakes the accept thread with a self-connect,
+//! shuts down every open socket (which fails its thread's blocked read
+//! or write at once) and joins every connection thread.
 //!
 //! ## Endpoints
 //!
@@ -58,27 +56,27 @@
 
 use crate::cache::ObjectCache;
 use crate::handlers;
-use crate::http::{parse_request_head, response_head_bytes, Request, RequestHead, MAX_BODY_BYTES};
+use crate::http::{parse_request_head, response_head_bytes, Request, MAX_BODY_BYTES};
 use crate::protocol::encode_error;
-use crate::reactor::{fd_of_listener, fd_of_stream, Event, Interest, Poller};
 use crate::stats::{Endpoint, Stats};
 use crate::HubError;
 use mh_dlv::Hub;
 use mh_par::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use mh_par::sync::thread::JoinHandle;
-use mh_par::{sync, BoundedQueue, CompletionQueue, TryPushError};
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use mh_par::sync::{self, Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reactor tuning; [`HubServer::start`] uses the defaults, the CLI and
+/// Server tuning; [`HubServer::start`] uses the defaults, the CLI and
 /// tests override through [`HubServer::start_with`].
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Worker pool width (default: the ambient `mh_par` thread count).
+    /// Handler slots: requests routed at once (default: the ambient
+    /// `mh_par` thread count).
     pub jobs: Option<usize>,
     /// Maximum simultaneously open connections; beyond this, accepts are
     /// answered `503` + `Retry-After`.
@@ -98,8 +96,8 @@ pub struct Config {
     /// this, `--max-conns` connections each declaring the per-request
     /// body cap could drive `max_conns × MAX_BODY_BYTES` of allocation.
     pub body_budget_bytes: u64,
-    /// Worker-side handling time (ms) above which a request gets a
-    /// slow-request warn line naming its trace id (0 disables).
+    /// Handling time (ms) above which a request gets a slow-request
+    /// warn line naming its trace id (0 disables).
     pub slow_ms: u64,
 }
 
@@ -120,27 +118,14 @@ impl Default for Config {
 /// `Retry-After` seconds advertised on backpressure 503s.
 const RETRY_AFTER_SECS: u32 = 1;
 
-/// Poller tokens 0 and 1 are reserved; connections start at 2.
-const WAKE_TOKEN: usize = 0;
-const LISTENER_TOKEN: usize = 1;
-const FIRST_CONN_TOKEN: usize = 2;
-
-/// Per-read chunk size in the Reading state.
+/// Per-read chunk size while receiving a request.
 const READ_CHUNK: usize = 16 << 10;
 
-/// Most bytes one connection may pull off its socket in a single read
-/// pass. Bounds how far a fast sender can grow its buffer before the
-/// head is parsed (and its declared body admitted against the
-/// [`BodyBudget`]), and keeps one firehose connection from hogging the
-/// reactor. Level-triggered readiness re-delivers the remainder on the
-/// next tick.
-const MAX_READ_PASS_BYTES: usize = 256 << 10;
-
 /// Aggregate declared request-body bytes admitted for userspace
-/// buffering across all live connections (reactor-thread state, no
-/// atomics needed). Reserved when a request head parses, released when
-/// its connection closes — the body `Vec` lives until the response is
-/// done, and connections carry one request each.
+/// buffering across all open connections. Reserved when a request head
+/// parses, released when its connection closes — the body `Vec` lives
+/// until the request is handled, and connections carry one request
+/// each.
 #[derive(Debug)]
 struct BodyBudget {
     cap: u64,
@@ -172,6 +157,24 @@ impl BodyBudget {
     }
 }
 
+/// Everything admission decides on, under one lock: the open
+/// connections (checked against `--max-conns`) and the request-body
+/// budget. Each open connection keeps its socket, so `stop` can unblock
+/// the thread serving it, and that thread's handle, so `stop` can join
+/// it.
+#[derive(Debug)]
+struct Admission {
+    conns: BTreeMap<u64, Held>,
+    next_id: u64,
+    body: BodyBudget,
+}
+
+#[derive(Debug)]
+struct Held {
+    socket: Arc<TcpStream>,
+    thread: Option<JoinHandle<()>>,
+}
+
 /// Fault-injection knobs for tests: while `drop_object_responses > 0`,
 /// each `/objects` response is truncated mid-object and the connection
 /// dropped (decremented per faulted response). Exercises client
@@ -189,65 +192,124 @@ impl Faults {
     }
 }
 
-/// A running hub server; dropping it (or calling [`HubServer::stop`])
-/// shuts down the reactor, drains the worker pool, and joins every
-/// thread.
+/// State shared by the accept thread and every connection thread.
 #[derive(Debug)]
-pub struct HubServer {
-    hub: Arc<Hub>,
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    wake: Waker,
-    jobs: Arc<BoundedQueue<Job>>,
+struct Shared {
+    hub: Hub,
+    config: Config,
     stats: Arc<Stats>,
     faults: Arc<Faults>,
-    reactor_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
+    cache: ObjectCache,
+    stop: AtomicBool,
+    admission: Mutex<Admission>,
+    /// Handler slots in use; at most `jobs`.
+    busy: Mutex<usize>,
+    slot_freed: Condvar,
+    jobs: usize,
 }
 
-/// One byte to the reactor's wake socket. Nonblocking: a full socket
-/// buffer means a wakeup is already pending, so `WouldBlock` is success.
-#[derive(Debug)]
-struct Waker {
-    tx: TcpStream,
-}
-
-impl Waker {
-    fn wake(&self) {
-        let _ = (&self.tx).write(&[1u8]);
+impl Shared {
+    /// Count a new connection in, or refuse it at the `--max-conns` cap.
+    fn admit(&self, socket: Arc<TcpStream>) -> Option<u64> {
+        let mut adm = self.admission.lock();
+        if adm.conns.len() >= self.config.max_conns {
+            return None;
+        }
+        let id = adm.next_id;
+        adm.next_id = id.wrapping_add(1);
+        adm.conns.insert(
+            id,
+            Held {
+                socket,
+                thread: None,
+            },
+        );
+        let open = adm.conns.len() as i64;
+        self.stats.conn_open().set(open);
+        if open > self.stats.conn_peak().get() {
+            self.stats.conn_peak().set(open);
+        }
+        Some(id)
     }
 
-    fn try_clone(&self) -> std::io::Result<Self> {
-        Ok(Self {
-            tx: self.tx.try_clone()?,
-        })
-    }
-}
-
-/// Loopback socketpair for the wake channel: connect to an ephemeral
-/// listener and accept our own connection back (verified by peer
-/// address, so a port-scanner racing the accept cannot hijack it).
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let ours = tx.local_addr()?;
-    for _ in 0..16 {
-        let (rx, peer) = listener.accept()?;
-        if peer == ours {
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            let _ = tx.set_nodelay(true);
-            return Ok((tx, rx));
+    /// Record the thread serving connection `id`. A thread that already
+    /// finished has removed its entry; its handle is simply dropped.
+    fn attach(&self, id: u64, thread: JoinHandle<()>) {
+        if let Some(held) = self.admission.lock().conns.get_mut(&id) {
+            held.thread = Some(thread);
         }
     }
-    Err(std::io::Error::other("wake socketpair: peer never matched"))
+
+    fn reserve_body(&self, want: u64) -> bool {
+        self.admission.lock().body.try_reserve(want)
+    }
+
+    /// Count connection `id` out and give back its body reservation.
+    fn release(&self, id: u64, body_reserved: u64) {
+        let mut adm = self.admission.lock();
+        let gone = adm.conns.remove(&id);
+        adm.body.release(body_reserved);
+        self.stats.conn_open().set(adm.conns.len() as i64);
+        drop(adm);
+        drop(gone);
+    }
+
+    /// Wait for one of the `jobs` handler slots until `deadline`; `None`
+    /// when the deadline passes or the server stops first.
+    fn handler_slot(&self, deadline: Option<Instant>) -> Option<Slot<'_>> {
+        let mut busy = self.busy.lock();
+        while *busy >= self.jobs {
+            let left = time_left(deadline, Duration::MAX);
+            if left.is_zero() || self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            busy = self.slot_freed.wait_timeout(busy, left);
+        }
+        *busy = busy.saturating_add(1);
+        Some(Slot(self))
+    }
+}
+
+/// A held handler slot, freed on drop.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut busy = self.0.busy.lock();
+        *busy = busy.saturating_sub(1);
+        drop(busy);
+        self.0.slot_freed.notify_one();
+    }
+}
+
+/// An admitted connection's hold on [`Admission`]; dropping it (on
+/// unwind too) counts the connection out and frees its body
+/// reservation.
+struct Ticket<'a> {
+    shared: &'a Shared,
+    id: u64,
+    body_reserved: u64,
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        self.shared.release(self.id, self.body_reserved);
+    }
+}
+
+/// A running hub server; dropping it (or calling [`HubServer::stop`])
+/// stops accepting, unblocks and joins every connection thread.
+#[derive(Debug)]
+pub struct HubServer {
+    shared: Arc<Shared>,
+    local_addr: SocketAddr,
+    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl HubServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) serving the
-    /// hub rooted at `root`, with `jobs` workers (default: the ambient
-    /// `mh_par` thread count) and default reactor limits.
+    /// hub rooted at `root`, with `jobs` handler slots (default: the
+    /// ambient `mh_par` thread count) and default limits.
     pub fn start(root: &Path, addr: &str, jobs: Option<usize>) -> Result<Self, HubError> {
         Self::start_with(
             root,
@@ -259,7 +321,7 @@ impl HubServer {
         )
     }
 
-    /// [`HubServer::start`] with full reactor tuning.
+    /// [`HubServer::start`] with full server tuning.
     pub fn start_with(root: &Path, addr: &str, config: Config) -> Result<Self, HubError> {
         // Pre-register the process-wide series so `/metrics` exposes the
         // PAS / compression / worker-pool metrics at zero before any
@@ -272,77 +334,37 @@ impl HubServer {
         // `GET /debug/flightrec` even with span tracing off.
         mh_obs::flightrec::enable();
         // Hub::open creates the root directory and validates access.
-        let hub = Arc::new(Hub::open(root).map_err(HubError::Dlv)?);
+        let hub = Hub::open(root).map_err(HubError::Dlv)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let workers = config
-            .jobs
-            .unwrap_or_else(mh_par::current_threads)
-            .clamp(1, 64);
-        let jobs = Arc::new(BoundedQueue::<Job>::new(workers * 4));
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Stats::new());
-        let faults = Arc::new(Faults::default());
-        let cache = Arc::new(ObjectCache::new(config.cache_bytes, stats.cache_metrics()));
-
-        let (wake_tx, wake_rx) = wake_pair()?;
-        let wake = Waker { tx: wake_tx };
-        let completion_waker = wake.try_clone()?;
-        let completions: Arc<CompletionQueue<Completion>> =
-            Arc::new(CompletionQueue::new(move || completion_waker.wake()));
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let jobs = Arc::clone(&jobs);
-            let completions = Arc::clone(&completions);
-            let stats = Arc::clone(&stats);
-            let faults = Arc::clone(&faults);
-            let cache = Arc::clone(&cache);
-            let hub = Arc::clone(&hub);
-            let slow_ms = config.slow_ms;
-            worker_handles.push(sync::thread::spawn(move || {
-                while let Some(job) = jobs.pop() {
-                    let resp = process(&hub, &job, &stats, &faults, &cache, slow_ms);
-                    // Make the request's trace durable before answering:
-                    // the JSONL sink buffers, and a served hub is usually
-                    // stopped by signal, which never reaches a flush.
-                    if mh_obs::enabled() {
-                        mh_obs::flush();
-                    }
-                    completions.push(Completion {
-                        token: job.token,
-                        resp,
-                    });
-                }
-            }));
-        }
-
-        let reactor_handle = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let jobs = Arc::clone(&jobs);
-            let config = config.clone();
-            Some(sync::thread::spawn(move || {
-                let mut reactor =
-                    match Reactor::new(listener, wake_rx, stop, stats, jobs, completions, config) {
-                        Ok(r) => r,
-                        Err(_) => return,
-                    };
-                reactor.run();
-            }))
-        };
-
-        Ok(Self {
+        let shared = Arc::new(Shared {
             hub,
-            local_addr,
-            stop,
-            wake,
-            jobs,
+            cache: ObjectCache::new(config.cache_bytes, stats.cache_metrics()),
             stats,
-            faults,
-            reactor_handle,
-            worker_handles,
+            faults: Arc::new(Faults::default()),
+            stop: AtomicBool::new(false),
+            admission: Mutex::new(Admission {
+                conns: BTreeMap::new(),
+                next_id: 0,
+                body: BodyBudget::new(config.body_budget_bytes),
+            }),
+            busy: Mutex::new(0),
+            slot_freed: Condvar::new(),
+            jobs: config
+                .jobs
+                .unwrap_or_else(mh_par::current_threads)
+                .clamp(1, 64),
+            config,
+        });
+        let accept_thread = {
+            let shared = Arc::clone(&shared);
+            Some(sync::thread::spawn(move || accept_loop(&listener, &shared)))
+        };
+        Ok(Self {
+            shared,
+            local_addr,
+            accept_thread,
         })
     }
 
@@ -356,38 +378,57 @@ impl HubServer {
     }
 
     pub fn root(&self) -> &Path {
-        self.hub.root()
+        self.shared.hub.root()
     }
 
     pub fn stats(&self) -> Arc<Stats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.shared.stats)
     }
 
     pub fn faults(&self) -> Arc<Faults> {
-        Arc::clone(&self.faults)
+        Arc::clone(&self.shared.faults)
     }
 
-    /// Graceful shutdown: stop the reactor, drain workers, join threads.
+    /// Graceful shutdown: stop accepting, unblock and join every
+    /// connection thread.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     /// Serve until the process is killed (the `modelhub hubd` CLI path).
     pub fn run(mut self) {
-        if let Some(h) = self.reactor_handle.take() {
+        if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake.wake();
-        if let Some(h) = self.reactor_handle.take() {
-            let _ = h.join();
+        let Some(accept) = self.accept_thread.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Wake the blocked accept; the thread sees `stop` and drops this
+        // connection unserved.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_secs(1));
+        let _ = accept.join();
+        // A shut-down socket fails its thread's read or write at once; a
+        // thread waiting for a handler slot sees `stop` when notified.
+        let threads: Vec<JoinHandle<()>> = {
+            let mut adm = self.shared.admission.lock();
+            adm.conns
+                .values_mut()
+                .filter_map(|held| {
+                    let _ = held.socket.shutdown(Shutdown::Both);
+                    held.thread.take()
+                })
+                .collect()
+        };
+        {
+            let _busy = self.shared.busy.lock();
+            self.shared.slot_freed.notify_all();
         }
-        self.jobs.close_and_discard();
-        for h in self.worker_handles.drain(..) {
-            let _ = h.join();
+        for t in threads {
+            let _ = t.join();
         }
     }
 }
@@ -398,33 +439,38 @@ impl Drop for HubServer {
     }
 }
 
-/// A parsed request handed to the worker pool.
-#[derive(Debug)]
-struct Job {
-    token: usize,
-    req: Request,
-    ep: Endpoint,
+/// Where a self-connect reaches the listener: its own address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
-/// A finished response on its way back to the reactor.
-#[derive(Debug)]
-struct Completion {
-    token: usize,
-    resp: Response,
+/// `after` from now, or `None` (no deadline) if that overflows.
+fn deadline_after(after: Duration) -> Option<Instant> {
+    sync::now().checked_add(after)
+}
+
+/// Time left before `deadline`, capped at `cap`.
+fn time_left(deadline: Option<Instant>, cap: Duration) -> Duration {
+    deadline.map_or(cap, |d| d.saturating_duration_since(sync::now()).min(cap))
 }
 
 /// Chunk size for lazily-streamed file segments (and for the streaming
 /// hash-verify pass that stages them).
 pub(crate) const FILE_CHUNK: usize = 64 << 10;
 
-/// A payload streamed from disk in bounded chunks on write readiness:
-/// the staged segment costs one scratch buffer (≤ [`FILE_CHUNK`]), not
-/// the whole object — so a never-reading client holds kilobytes, not
-/// the multi-GiB object it requested. The open handle pins the inode,
-/// so a raced republish (replace-by-rename) cannot swap the verified
-/// bytes out from under the stream. Chunk reads are blocking disk I/O
-/// on the reactor thread, bounded at [`FILE_CHUNK`] per pass — the
-/// standard tradeoff for a sendfile-less event loop.
+/// A payload streamed from disk in bounded chunks as the response is
+/// written: the staged segment costs one scratch buffer (≤
+/// [`FILE_CHUNK`]), not the whole object — so a never-reading client
+/// holds kilobytes, not the multi-GiB object it requested. The open
+/// handle pins the inode, so a raced republish (replace-by-rename)
+/// cannot swap the verified bytes out from under the stream.
 #[derive(Debug)]
 pub(crate) struct FileSeg {
     file: std::fs::File,
@@ -432,8 +478,7 @@ pub(crate) struct FileSeg {
     len: u64,
     /// Bytes not yet read out of the file.
     remaining: u64,
-    /// Scratch chunk awaiting socket writes; the write cursor into it is
-    /// the connection's `seg_pos`.
+    /// Scratch chunk awaiting socket writes.
     buf: Vec<u8>,
 }
 
@@ -456,7 +501,6 @@ impl FileSeg {
         let want = usize::try_from(self.remaining.min(FILE_CHUNK as u64)).unwrap_or(FILE_CHUNK);
         self.buf.resize(want, 0);
         loop {
-            // mh-audit: allow(R002, bounded FILE_CHUNK read of a local segment file — the documented serve-from-reactor tradeoff, see DESIGN.md)
             match self.file.read(&mut self.buf) {
                 Ok(0) => return Err(()), // premature EOF
                 Ok(n) => {
@@ -551,659 +595,244 @@ impl Response {
     }
 }
 
-/// Per-connection state. `Reading` accumulates the head+body buffer;
-/// `Queued` parks a complete request while the worker queue is full
-/// (retried FIFO as completions free slots); `Dispatched` parks the
-/// socket (interest `None`) while the worker pool holds the request;
-/// `Writing` drains the segment list across partial writes.
-#[derive(Debug)]
-enum ConnState {
-    Reading {
-        buf: Vec<u8>,
-        head: Option<RequestHead>,
-        eof: bool,
-    },
-    Queued {
-        job: Job,
-    },
-    Dispatched,
-    Writing {
-        resp: Response,
-        seg_idx: usize,
-        seg_pos: usize,
-        written: u64,
-    },
-}
-
-#[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    state: ConnState,
-    interest: Interest,
-    ep: Endpoint,
-    bytes_in: u64,
-    /// Declared body bytes this connection holds against the reactor's
-    /// [`BodyBudget`]; released at close.
-    body_reserved: u64,
-    last_activity: Instant,
-    state_entered: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Self {
-        Self {
-            stream,
-            state: ConnState::Reading {
-                buf: Vec::new(),
-                head: None,
-                eof: false,
-            },
-            interest: Interest::Read,
-            ep: Endpoint::Other,
-            bytes_in: 0,
-            body_reserved: 0,
-            last_activity: now,
-            state_entered: now,
-        }
-    }
-
-    /// Body bytes that actually reached the socket so far.
-    fn body_bytes_written(&self) -> u64 {
-        match &self.state {
-            ConnState::Writing { resp, written, .. } => written.saturating_sub(resp.head_len),
-            _ => 0,
-        }
-    }
-}
-
-/// What to do with a connection after an I/O pass.
-enum Disposition {
-    Keep,
-    /// Close and record stats; `error` marks failed/partial outcomes.
-    Close {
-        error: bool,
-    },
-}
-
-struct Reactor {
-    poller: Poller,
-    listener: TcpListener,
-    wake_rx: TcpStream,
-    stop: Arc<AtomicBool>,
-    stats: Arc<Stats>,
-    jobs: Arc<BoundedQueue<Job>>,
-    completions: Arc<CompletionQueue<Completion>>,
-    config: Config,
-    conns: BTreeMap<usize, Conn>,
-    /// Tokens whose requests are parked in `ConnState::Queued`, FIFO.
-    queued: VecDeque<usize>,
-    body_budget: BodyBudget,
-    next_token: usize,
-    events: Vec<Event>,
-}
-
-impl Reactor {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        listener: TcpListener,
-        wake_rx: TcpStream,
-        stop: Arc<AtomicBool>,
-        stats: Arc<Stats>,
-        jobs: Arc<BoundedQueue<Job>>,
-        completions: Arc<CompletionQueue<Completion>>,
-        config: Config,
-    ) -> std::io::Result<Self> {
-        let mut poller = Poller::new()?;
-        poller.register(fd_of_stream(&wake_rx), WAKE_TOKEN, Interest::Read)?;
-        poller.register(fd_of_listener(&listener), LISTENER_TOKEN, Interest::Read)?;
-        let body_budget = BodyBudget::new(config.body_budget_bytes);
-        Ok(Self {
-            poller,
-            listener,
-            wake_rx,
-            stop,
-            stats,
-            jobs,
-            completions,
-            config,
-            conns: BTreeMap::new(),
-            queued: VecDeque::new(),
-            body_budget,
-            next_token: FIRST_CONN_TOKEN,
-            events: Vec::new(),
-        })
-    }
-
-    /// Poll tick: short enough that timeout reaping stays responsive
-    /// even against sub-second test deadlines.
-    fn tick(&self) -> Duration {
-        let finest = self.config.idle_timeout.min(self.config.state_deadline);
-        (finest / 4).clamp(Duration::from_millis(5), Duration::from_millis(200))
-    }
-
-    /// The event loop. Everything reachable from here handles
-    /// attacker-controlled bytes, so the whole dispatch path is a
-    /// no-panic zone — a connection must never be able to kill the
-    /// reactor. It is also a nonblocking zone: one parked reactor
-    /// stalls every connection, so no transitively-blocking call may
-    /// be reachable (the poller's own bounded wait is the single
-    /// waived exception).
-    // mh-audit: no_panic_zone
-    // mh-audit: nonblocking_zone
-    fn run(&mut self) {
-        loop {
-            let tick = self.tick();
-            let mut events = std::mem::take(&mut self.events);
-            let _ = self.poller.wait(&mut events, tick);
-            if self.stop.load(Ordering::SeqCst) {
-                self.events = events;
-                break;
-            }
-            for ev in &events {
-                match ev.token {
-                    WAKE_TOKEN => self.drain_wake(),
-                    LISTENER_TOKEN => self.accept_ready(),
-                    token => self.conn_ready(token, *ev),
-                }
-            }
-            self.events = events;
-            self.deliver_completions();
-            self.drain_queued();
-            self.reap_expired();
-        }
-        // Shutdown: every open connection is abandoned; account them as
-        // errored so stats never silently lose a connection.
-        let tokens: Vec<usize> = self.conns.keys().copied().collect();
-        for token in tokens {
-            self.close_conn(token, true);
-        }
-    }
-
-    fn drain_wake(&mut self) {
-        let mut scratch = [0u8; 256];
-        loop {
-            // mh-audit: allow(R002, wake pipe is set nonblocking at construction — a drained pipe returns WouldBlock instead of parking)
-            match (&self.wake_rx).read(&mut scratch) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock: drained
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            // mh-audit: allow(R002, listener is set nonblocking — an empty backlog returns WouldBlock instead of parking)
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock or transient accept failure
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let now = sync::now();
-            let token = self.next_token;
-            self.next_token = self.next_token.wrapping_add(1).max(FIRST_CONN_TOKEN);
-            let mut conn = Conn::new(stream, now);
-            if self.conns.len() >= self.config.max_conns {
-                // Saturated: answer 503 + Retry-After instead of queueing
-                // the connection. The tiny response still goes through
-                // the normal Writing machinery so a slow reject cannot
-                // block the reactor either.
-                self.stats.conn_rejected().inc();
-                set_writing(
-                    &mut conn,
-                    Response::saturated("connection limit reached"),
-                    now,
-                );
-            }
-            let interest = conn.interest;
-            if self
-                .poller
-                .register(fd_of_stream(&conn.stream), token, interest)
-                .is_err()
-            {
-                continue;
-            }
-            self.conns.insert(token, conn);
-            let open = self.conns.len() as i64;
-            self.stats.conn_open().set(open);
-            if open > self.stats.conn_peak().get() {
-                self.stats.conn_peak().set(open);
-            }
-            // Drive freshly-accepted rejects immediately; their sockets
-            // are almost always writable right now.
-            if let Some(c) = self.conns.get(&token) {
-                if matches!(c.state, ConnState::Writing { .. }) {
-                    self.conn_ready(
-                        token,
-                        Event {
-                            token,
-                            readable: false,
-                            writable: true,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Advance one connection's state machine for a readiness event.
-    fn conn_ready(&mut self, token: usize, ev: Event) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let reading = matches!(conn.state, ConnState::Reading { .. });
-        let writing = matches!(conn.state, ConnState::Writing { .. });
-        let disposition = if reading && ev.readable {
-            read_some(conn, &mut self.body_budget, &self.stats)
-        } else if writing && ev.writable {
-            write_some(conn)
-        } else {
-            Disposition::Keep
-        };
-        match disposition {
-            Disposition::Keep => {
-                self.after_progress(token);
-            }
-            Disposition::Close { error } => self.close_conn(token, error),
-        }
-    }
-
-    /// Post-I/O transitions: dispatch completed requests, update poller
-    /// interest to match the state.
-    fn after_progress(&mut self, token: usize) {
-        // A complete request leaves Reading: hand it to the pool, or
-        // park it FIFO when the pool's queue is momentarily full — the
-        // connection count is already bounded by `max_conns`, so the
-        // parked set is too.
-        let dispatch = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            take_ready_request(conn)
-        };
-        if let Some(req) = dispatch {
-            let ep = classify(&req.path);
-            let now = sync::now();
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.ep = ep;
-            conn.bytes_in = req.body.len() as u64;
-            conn.interest = Interest::None;
-            conn.state_entered = now;
-            conn.last_activity = now;
-            match self.jobs.try_push(Job { token, req, ep }) {
-                Ok(()) => {
-                    conn.state = ConnState::Dispatched;
-                }
-                Err(TryPushError::Full(job)) => {
-                    conn.state = ConnState::Queued { job };
-                    self.queued.push_back(token);
-                }
-                Err(TryPushError::Closed(_)) => {
-                    self.close_conn(token, true);
-                    return;
-                }
-            }
-        }
-        self.sync_interest(token);
-    }
-
-    /// Retry parked dispatches in arrival order. Runs every loop pass:
-    /// worker completions (and pops) free queue slots between passes.
-    fn drain_queued(&mut self) {
-        while let Some(&token) = self.queued.front() {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                // Reaped while parked; drop the stale token.
-                self.queued.pop_front();
-                continue;
-            };
-            if !matches!(conn.state, ConnState::Queued { .. }) {
-                self.queued.pop_front();
-                continue;
-            }
-            let state = std::mem::replace(&mut conn.state, ConnState::Dispatched);
-            let ConnState::Queued { job } = state else {
-                continue; // unreachable: matched Queued above
-            };
-            match self.jobs.try_push(job) {
-                Ok(()) => {
-                    conn.state_entered = sync::now();
-                    self.queued.pop_front();
-                }
-                Err(TryPushError::Full(job)) => {
-                    // Still no room; put it back and stop — FIFO order.
-                    conn.state = ConnState::Queued { job };
-                    break;
-                }
-                Err(TryPushError::Closed(_)) => {
-                    self.queued.pop_front();
-                    self.close_conn(token, true);
-                }
-            }
-        }
-    }
-
-    /// Reconcile poller interest with the connection's current state.
-    fn sync_interest(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = match &conn.state {
-            ConnState::Reading { .. } => Interest::Read,
-            ConnState::Queued { .. } | ConnState::Dispatched => Interest::None,
-            ConnState::Writing { .. } => Interest::Write,
-        };
-        if conn.interest != want {
-            let fd = fd_of_stream(&conn.stream);
-            if self.poller.modify(fd, token, want).is_ok() {
-                conn.interest = want;
-            }
-        }
-    }
-
-    /// Move finished worker responses onto their connections' write
-    /// buffers and try an immediate flush (the common case: the whole
-    /// response fits in the socket buffer in one pass).
-    fn deliver_completions(&mut self) {
-        for Completion { token, resp } in self.completions.drain() {
-            let now = sync::now();
-            match self.conns.get_mut(&token) {
-                Some(conn) if matches!(conn.state, ConnState::Dispatched) => {
-                    set_writing(conn, resp, now);
-                }
-                // Connection already reaped (timeout) or recycled: the
-                // response has nowhere to go.
-                _ => continue,
-            }
-            if let Some(conn) = self.conns.get_mut(&token) {
-                match write_some(conn) {
-                    Disposition::Keep => self.sync_interest(token),
-                    Disposition::Close { error } => self.close_conn(token, error),
-                }
-            }
-        }
-    }
-
-    /// Enforce both timeout axes. A stalled connection is reaped without
-    /// touching any other connection's progress.
-    fn reap_expired(&mut self) {
-        let now = sync::now();
-        let idle = self.config.idle_timeout;
-        let deadline = self.config.state_deadline;
-        let expired: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                let idle_for = now.saturating_duration_since(c.last_activity);
-                let in_state = now.saturating_duration_since(c.state_entered);
-                match c.state {
-                    // The pool decides how long request handling takes;
-                    // only the overall state deadline applies while a
-                    // request is queued or dispatched.
-                    ConnState::Queued { .. } | ConnState::Dispatched => in_state > deadline,
-                    _ => idle_for > idle || in_state > deadline,
-                }
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in expired {
-            self.close_conn(token, true);
-        }
-    }
-
-    /// Record the connection's stats exactly once and drop it.
-    fn close_conn(&mut self, token: usize, error: bool) {
-        let Some(conn) = self.conns.remove(&token) else {
-            return;
-        };
-        self.body_budget.release(conn.body_reserved);
-        let _ = self.poller.deregister(fd_of_stream(&conn.stream), token);
-        self.stats.conn_open().set(self.conns.len() as i64);
-        let status_error = match &conn.state {
-            ConnState::Writing { resp, .. } => resp.status >= 400 || resp.truncated,
-            _ => false,
-        };
-        self.stats.record(
-            conn.ep,
-            conn.bytes_in,
-            conn.body_bytes_written(),
-            error || status_error,
-        );
-    }
-}
-
-/// Enter the Writing state with a staged response.
-fn set_writing(conn: &mut Conn, resp: Response, now: Instant) {
-    conn.state = ConnState::Writing {
-        resp,
-        seg_idx: 0,
-        seg_pos: 0,
-        written: 0,
-    };
-    // Poller interest is reconciled by the caller via sync_interest.
-    conn.state_entered = now;
-    conn.last_activity = now;
-}
-
-/// Nonblocking read pass in the Reading state. Returns Close on fatal
-/// parse errors only after staging the error response (so the close
-/// goes through Writing); returns Close directly on transport failure.
-/// At most [`MAX_READ_PASS_BYTES`] are buffered per pass, so the parse
-/// (and the [`BodyBudget`] admission decision) runs before a fast
-/// sender can grow the buffer unboundedly.
+/// The accept thread: give each admitted connection a thread of its
+/// own, answer the rest `503` at the `--max-conns` cap. Returns once
+/// `stop` is raised; the self-connect that wakes it goes unserved.
 // mh-audit: no_panic_zone
-fn read_some(conn: &mut Conn, budget: &mut BodyBudget, stats: &Stats) -> Disposition {
-    let mut progressed = false;
-    let mut transport_dead = false;
-    {
-        let ConnState::Reading { buf, head, eof } = &mut conn.state else {
-            return Disposition::Keep;
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            continue; // transient accept failure
         };
-        let mut chunk = [0u8; READ_CHUNK];
-        let mut pass_bytes = 0usize;
-        loop {
-            // Stop reading once the staged request is complete; anything
-            // extra is ignored (one request per connection).
-            if let Some(h) = head.as_ref() {
-                let expect = h.head_len.saturating_add(h.content_length as usize);
-                if buf.len() >= expect {
-                    break;
-                }
-            }
-            if pass_bytes >= MAX_READ_PASS_BYTES {
-                break; // level-triggered readiness re-delivers the rest
-            }
-            // mh-audit: allow(R002, connection sockets are set nonblocking on accept — reads return WouldBlock instead of parking)
-            match (&conn.stream).read(&mut chunk) {
-                Ok(0) => {
-                    // EOF with a complete request is the half-close idiom
-                    // (send, shutdown write, await the response); an
-                    // incomplete request at EOF is answered 400 below.
-                    *eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-                    pass_bytes = pass_bytes.saturating_add(n);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    transport_dead = true;
-                    break;
-                }
-            }
-        }
+        let _ = stream.set_nodelay(true);
+        let stream = Arc::new(stream);
+        let Some(id) = shared.admit(Arc::clone(&stream)) else {
+            // The tiny 503 fits a fresh socket's send buffer, and the
+            // write timeout bounds even that.
+            shared.stats.conn_rejected().inc();
+            let resp = Response::saturated("connection limit reached");
+            respond(shared, &stream, Endpoint::Other, 0, resp);
+            continue;
+        };
+        let conn_shared = Arc::clone(shared);
+        let thread = sync::thread::spawn(move || serve(&conn_shared, &stream, id));
+        shared.attach(id, thread);
     }
-    if transport_dead {
-        return Disposition::Close { error: true };
-    }
-    let now = sync::now();
-    if progressed {
-        conn.last_activity = now;
-    }
-
-    // Parse as far as the buffer allows.
-    let ConnState::Reading { buf, head, eof } = &mut conn.state else {
-        return Disposition::Keep;
-    };
-    if head.is_none() {
-        match parse_request_head(buf) {
-            Ok(Some(h)) => {
-                if h.content_length > MAX_BODY_BYTES {
-                    set_writing(
-                        conn,
-                        Response::error(
-                            400,
-                            "bad-request",
-                            &format!("request body too large ({} bytes)", h.content_length),
-                        ),
-                        now,
-                    );
-                    return Disposition::Keep;
-                }
-                // Admit the declared body against the reactor-wide
-                // budget before buffering it; refusal is backpressure
-                // (retryable), not a protocol error.
-                if !budget.try_reserve(h.content_length) {
-                    stats.body_rejected().inc();
-                    set_writing(
-                        conn,
-                        Response::saturated("request-body budget exhausted"),
-                        now,
-                    );
-                    return Disposition::Keep;
-                }
-                conn.body_reserved = h.content_length;
-                *head = Some(h);
-            }
-            Ok(None) => {
-                if *eof {
-                    // Peer hung up before completing a request head.
-                    set_writing(
-                        conn,
-                        Response::error(400, "bad-request", "malformed request"),
-                        now,
-                    );
-                    return Disposition::Keep;
-                }
-            }
-            Err(e) => {
-                let resp = protocol_error_response(&e);
-                set_writing(conn, resp, now);
-                return Disposition::Keep;
-            }
-        }
-    }
-    if let Some(h) = head.as_ref() {
-        let expect = h.head_len.saturating_add(h.content_length as usize);
-        if buf.len() < expect && *eof {
-            set_writing(
-                conn,
-                Response::error(400, "bad-request", "malformed request"),
-                now,
-            );
-        }
-    }
-    Disposition::Keep
 }
 
-/// If the Reading buffer holds a complete request, extract it.
-fn take_ready_request(conn: &mut Conn) -> Option<Request> {
-    let ConnState::Reading { buf, head, .. } = &mut conn.state else {
-        return None;
+/// A connection thread: read one request, route it in a handler slot,
+/// write the response, close (`Connection: close` — one request per
+/// connection). Records the connection's stats exactly once.
+// mh-audit: no_panic_zone
+fn serve(shared: &Shared, stream: &TcpStream, id: u64) {
+    let mut ticket = Ticket {
+        shared,
+        id,
+        body_reserved: 0,
     };
-    let h = head.as_ref()?;
-    let expect = h.head_len.saturating_add(h.content_length as usize);
-    if buf.len() < expect {
-        return None;
+    let (ep, bytes_in, resp) = match receive(shared, stream, &mut ticket) {
+        Ok(req) => {
+            let ep = classify(&req.path);
+            (ep, req.body.len() as u64, handle(shared, &req, ep))
+        }
+        Err(resp) => (Endpoint::Other, 0, resp),
+    };
+    match resp {
+        Some(resp) => respond(shared, stream, ep, bytes_in, resp),
+        None => shared.stats.record(ep, bytes_in, 0, true),
+    }
+}
+
+/// Write `resp` under the idle timeout and record the connection's
+/// stats.
+fn respond(shared: &Shared, stream: &TcpStream, ep: Endpoint, bytes_in: u64, mut resp: Response) {
+    let idle = shared.config.idle_timeout;
+    let (written, sent) = match stream.set_write_timeout(Some(idle)) {
+        Ok(()) => write_response(stream, &mut resp, idle),
+        Err(_) => (0, false),
+    };
+    let error = !sent || resp.status >= 400 || resp.truncated;
+    let body_out = written.saturating_sub(resp.head_len);
+    shared.stats.record(ep, bytes_in, body_out, error);
+}
+
+/// Read one request: the head, then — once its declared length is
+/// admitted against the body budget — the body. Every read is bounded
+/// by the idle timeout and by what is left of the state deadline.
+/// `Err(Some(_))` answers with an error response; `Err(None)` closes as
+/// an error (timeout or transport failure).
+// mh-audit: no_panic_zone
+fn receive(
+    shared: &Shared,
+    stream: &TcpStream,
+    ticket: &mut Ticket<'_>,
+) -> Result<Request, Option<Response>> {
+    let deadline = deadline_after(shared.config.state_deadline);
+    let idle = shared.config.idle_timeout;
+    let malformed = || Some(Response::error(400, "bad-request", "malformed request"));
+    let mut buf = Vec::new();
+    let head = loop {
+        match parse_request_head(&buf) {
+            Ok(Some(head)) => break head,
+            Ok(None) => {}
+            Err(e) => return Err(Some(protocol_error_response(&e))),
+        }
+        match read_some(stream, &mut buf, time_left(deadline, idle)) {
+            Ok(0) => return Err(malformed()), // hung up before a complete head
+            Ok(_) => {}
+            Err(()) => return Err(None),
+        }
+    };
+    if head.content_length > MAX_BODY_BYTES {
+        let msg = format!("request body too large ({} bytes)", head.content_length);
+        return Err(Some(Response::error(400, "bad-request", &msg)));
+    }
+    // Refusal is backpressure (retryable), not a protocol error.
+    if !shared.reserve_body(head.content_length) {
+        shared.stats.body_rejected().inc();
+        return Err(Some(Response::saturated("request-body budget exhausted")));
+    }
+    ticket.body_reserved = head.content_length;
+    // EOF with the request complete is the half-close idiom (send,
+    // shut down the write side, await the response); bytes past the
+    // declared body are ignored.
+    let end = head.head_len.saturating_add(head.content_length as usize);
+    while buf.len() < end {
+        match read_some(stream, &mut buf, time_left(deadline, idle)) {
+            Ok(0) => return Err(malformed()),
+            Ok(_) => {}
+            Err(()) => return Err(None),
+        }
     }
     let body = buf
-        .get(h.head_len..expect)
+        .get(head.head_len..end)
         .map(<[u8]>::to_vec)
         .unwrap_or_default();
-    let h = head.take()?;
-    buf.clear();
-    Some(Request {
-        method: h.method,
-        path: h.path,
-        query: h.query,
-        trace: h.trace,
+    Ok(Request {
+        method: head.method,
+        path: head.path,
+        query: head.query,
+        trace: head.trace,
         body,
     })
 }
 
-/// Nonblocking write pass in the Writing state: drain segments until
-/// done, blocked, or broken. `File` segments refill their bounded
-/// scratch chunk from disk as the socket drains it, so per-connection
-/// write memory stays O([`FILE_CHUNK`]) regardless of payload size.
+/// One blocking read of up to [`READ_CHUNK`] bytes onto `buf`, giving
+/// up after `timeout`; `Ok(0)` is EOF.
 // mh-audit: no_panic_zone
-fn write_some(conn: &mut Conn) -> Disposition {
-    let mut progressed = false;
-    let done = {
-        let ConnState::Writing {
-            resp,
-            seg_idx,
-            seg_pos,
-            written,
-        } = &mut conn.state
-        else {
-            return Disposition::Keep;
-        };
-        loop {
-            let Some(seg) = resp.segs.get_mut(*seg_idx) else {
-                break true; // every segment fully written
-            };
-            if let Seg::File(fs) = seg {
-                // Scratch drained with file bytes left: pull the next
-                // chunk and restart the write cursor on it.
-                if *seg_pos >= fs.buf.len() && fs.remaining > 0 {
-                    if fs.refill().is_err() {
-                        return Disposition::Close { error: true };
-                    }
-                    *seg_pos = 0;
-                }
-            }
-            let rest = seg.as_slice().get(*seg_pos..).unwrap_or_default();
-            if rest.is_empty() {
-                *seg_idx = seg_idx.saturating_add(1);
-                *seg_pos = 0;
-                continue;
-            }
-            // mh-audit: allow(R002, connection sockets are set nonblocking on accept — writes return WouldBlock instead of parking)
-            match (&conn.stream).write(rest) {
-                Ok(0) => return Disposition::Close { error: true },
-                Ok(n) => {
-                    *seg_pos = seg_pos.saturating_add(n);
-                    *written = written.saturating_add(n as u64);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Disposition::Close { error: true },
-            }
-        }
-    };
-    if progressed {
-        conn.last_activity = sync::now();
+fn read_some(stream: &TcpStream, buf: &mut Vec<u8>, timeout: Duration) -> Result<usize, ()> {
+    if timeout.is_zero() || stream.set_read_timeout(Some(timeout)).is_err() {
+        return Err(());
     }
-    if done {
-        // Connection: close — one request per connection.
-        Disposition::Close { error: false }
-    } else {
-        Disposition::Keep
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut sock = stream;
+    loop {
+        match sock.read(&mut chunk) {
+            Ok(n) => {
+                buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+                return Ok(n);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Err(()),
+        }
     }
 }
 
-/// Map a request-parse error to its response, preserving the blocking
-/// server's status mapping (TooLarge → 422, everything else → 400).
+/// Route a complete request once a handler slot frees, waiting at most
+/// one state deadline for it; `None` if the deadline passes (or the
+/// server stops) first.
+fn handle(shared: &Shared, req: &Request, ep: Endpoint) -> Option<Response> {
+    let _slot = shared.handler_slot(deadline_after(shared.config.state_deadline))?;
+    let resp = process(shared, req, ep);
+    // Make the request's trace durable before answering: the JSONL sink
+    // buffers, and a served hub is usually stopped by signal, which
+    // never reaches a flush.
+    if mh_obs::enabled() {
+        mh_obs::flush();
+    }
+    Some(resp)
+}
+
+/// Write progress is counted in units of this many bytes, and the idle
+/// timeout may not pass between two of them. A peer that has stopped
+/// reading cannot hold its connection by letting the kernel open its
+/// receive window a few bytes at a time.
+const PROGRESS_BYTES: u64 = 256 << 10;
+
+/// Write a staged response with blocking writes, each bounded by the
+/// socket's write timeout. Returns the bytes written (head included)
+/// and whether the whole response went out. `File` segments refill
+/// their scratch chunk from disk as it drains, so write memory stays
+/// one [`FILE_CHUNK`] however large the payload; a file that ends
+/// before its declared length fails the response.
+// mh-audit: no_panic_zone
+fn write_response(mut out: impl Write, resp: &mut Response, idle: Duration) -> (u64, bool) {
+    let mut pace = Pace {
+        written: 0,
+        mark: 0,
+        since: sync::now(),
+        idle,
+    };
+    for seg in &mut resp.segs {
+        let sent = match seg {
+            Seg::File(fs) => loop {
+                if fs.remaining == 0 {
+                    break Ok(());
+                }
+                if let Err(()) = fs.refill().and_then(|()| pace.send(&mut out, &fs.buf)) {
+                    break Err(());
+                }
+            },
+            seg => pace.send(&mut out, seg.as_slice()),
+        };
+        if sent.is_err() {
+            return (pace.written, false);
+        }
+    }
+    (pace.written, true)
+}
+
+/// Bytes written so far, and at which count and when the idle clock
+/// last restarted.
+struct Pace {
+    written: u64,
+    mark: u64,
+    since: Instant,
+    idle: Duration,
+}
+
+impl Pace {
+    /// Write all of `bytes`; fails once the idle timeout passes without
+    /// [`PROGRESS_BYTES`] going out.
+    fn send(&mut self, out: &mut impl Write, mut bytes: &[u8]) -> Result<(), ()> {
+        while !bytes.is_empty() {
+            match out.write(bytes) {
+                Ok(0) => return Err(()),
+                Ok(n) => {
+                    self.written = self.written.saturating_add(n as u64);
+                    bytes = bytes.get(n..).unwrap_or_default();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(()),
+            }
+            let now = sync::now();
+            if self.written.saturating_sub(self.mark) >= PROGRESS_BYTES {
+                self.mark = self.written;
+                self.since = now;
+            } else if now.saturating_duration_since(self.since) >= self.idle {
+                return Err(());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Map a request-parse error to its response: TooLarge → 422,
+/// everything else → 400.
 pub(crate) fn protocol_error_response(e: &HubError) -> Response {
     let (status, code) = match e {
         HubError::TooLarge(_) => (422, "too-large"),
@@ -1234,35 +863,33 @@ fn classify(path: &str) -> Endpoint {
     }
 }
 
-/// Worker-side request handling: route, stage the response. Everything
-/// reachable from here handles attacker-controlled bytes, so the whole
-/// router is a no-panic zone — a request must never kill a worker.
+/// Request handling: route, stage the response. Everything reachable
+/// from here handles attacker-controlled bytes, so the whole router is
+/// a no-panic zone — a request must never kill its thread.
 ///
 /// The client's trace context (parsed from the `mh-trace` header) is
-/// re-established on the worker thread, so the `hub.request` span — and
-/// every span routing opens beneath it — carries the client's 128-bit
-/// trace id and parents under the client's rpc span.
+/// re-established on the connection thread, so the `hub.request` span —
+/// and every span routing opens beneath it — carries the client's
+/// 128-bit trace id and parents under the client's rpc span.
 // mh-audit: no_panic_zone
-fn process(
-    hub: &Hub,
-    job: &Job,
-    stats: &Stats,
-    faults: &Faults,
-    cache: &ObjectCache,
-    slow_ms: u64,
-) -> Response {
-    let req = &job.req;
+fn process(shared: &Shared, req: &Request, ep: Endpoint) -> Response {
     mh_obs::with_context(req.trace, || {
         let mut sp = mh_obs::span("hub.request");
         if sp.is_recording() {
-            sp.field("endpoint", job.ep.name());
+            sp.field("endpoint", ep.name());
             sp.field("method", &req.method);
             sp.add_bytes_in(req.body.len() as u64);
         }
         let start = sync::now();
-        let resp = handlers::route(hub, req, stats, faults, cache);
+        let resp = handlers::route(
+            &shared.hub,
+            req,
+            &shared.stats,
+            &shared.faults,
+            &shared.cache,
+        );
         let dur_ms = start.elapsed().as_secs_f64() * 1_000.0;
-        stats.record_duration(job.ep, dur_ms);
+        shared.stats.record_duration(ep, dur_ms);
         let error = resp.status >= 400 || resp.truncated;
         if error {
             // Lands in the flight recorder (and stderr when warn is
@@ -1270,16 +897,17 @@ fn process(
             // history survives in the server log.
             mh_obs::warn!(
                 "hub: request error endpoint={} status={} truncated={} trace={:032x}",
-                job.ep.name(),
+                ep.name(),
                 resp.status,
                 resp.truncated,
                 req.trace.trace,
             );
         }
+        let slow_ms = shared.config.slow_ms;
         if slow_ms > 0 && dur_ms >= slow_ms as f64 {
             mh_obs::warn!(
                 "hub: slow request endpoint={} dur_ms={:.1} trace={:032x}",
-                job.ep.name(),
+                ep.name(),
                 dur_ms,
                 req.trace.trace,
             );
@@ -1331,42 +959,20 @@ mod tests {
         std::fs::write(&path, &payload).expect("write payload");
         let file = std::fs::File::open(&path).expect("open payload");
         let len = payload.len() as u64;
-        let resp = Response::new(200, len, vec![Seg::File(FileSeg::new(file, len))], false);
+        let mut resp = Response::new(200, len, vec![Seg::File(FileSeg::new(file, len))], false);
         let head_len = resp.head_len as usize;
 
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
-        let reader = sync::thread::spawn(move || {
-            let mut got = Vec::new();
-            let mut c = client;
-            c.read_to_end(&mut got).expect("drain stream");
-            got
-        });
-        let mut conn = Conn::new(server_side, sync::now());
-        set_writing(&mut conn, resp, sync::now());
-        loop {
-            match write_some(&mut conn) {
-                Disposition::Close { error } => {
-                    assert!(!error);
-                    break;
-                }
-                Disposition::Keep => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
+        let mut got = Vec::new();
+        let (written, sent) = write_response(&mut got, &mut resp, Duration::from_secs(10));
+        assert!(sent);
+        assert_eq!(written, got.len() as u64);
         // The staged segment holds one scratch chunk, not the payload.
-        if let ConnState::Writing { resp, .. } = &conn.state {
-            for seg in &resp.segs {
-                if let Seg::File(fs) = seg {
-                    assert!(fs.buf.len() <= FILE_CHUNK);
-                    assert_eq!(fs.remaining, 0, "file fully streamed");
-                }
+        for seg in &resp.segs {
+            if let Seg::File(fs) = seg {
+                assert!(fs.buf.len() <= FILE_CHUNK);
+                assert_eq!(fs.remaining, 0, "file fully streamed");
             }
         }
-        drop(conn); // EOF for the reader
-        let got = reader.join().expect("reader thread");
         assert_eq!(got.len(), head_len + payload.len());
         assert_eq!(got.get(head_len..), Some(&payload[..]));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1382,53 +988,31 @@ mod tests {
         let file = std::fs::File::open(&path).expect("open payload");
         // Declare more bytes than the file holds: the stream cannot honor
         // its Content-Length and must close as an error.
-        let resp = Response::new(200, 500, vec![Seg::File(FileSeg::new(file, 500))], false);
-
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let _client = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
-        let mut conn = Conn::new(server_side, sync::now());
-        set_writing(&mut conn, resp, sync::now());
-        loop {
-            match write_some(&mut conn) {
-                Disposition::Close { error } => {
-                    assert!(error, "premature EOF must surface as an error close");
-                    break;
-                }
-                Disposition::Keep => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
+        let mut resp = Response::new(200, 500, vec![Seg::File(FileSeg::new(file, 500))], false);
+        let mut got = Vec::new();
+        let (written, sent) = write_response(&mut got, &mut resp, Duration::from_secs(10));
+        assert!(!sent, "premature EOF must surface as an error close");
+        assert_eq!(written, resp.head_len + 100, "what the file held went out");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn body_bytes_written_excludes_head() {
-        let resp = Response::full(200, vec![7u8; 100]);
-        let head_len = resp.head_len;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let _client = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
-        let mut conn = Conn::new(server_side, sync::now());
-        set_writing(&mut conn, resp, sync::now());
-        // A small response fits the socket buffer in one pass.
-        loop {
-            match write_some(&mut conn) {
-                Disposition::Close { error } => {
-                    assert!(!error);
-                    break;
-                }
-                Disposition::Keep => continue,
-            }
-        }
-        // write_some consumed the state on Close... the conn retains it.
-        let ConnState::Writing { written, .. } = &conn.state else {
-            panic!("still Writing");
-        };
-        assert_eq!(*written, head_len + 100);
-        assert_eq!(conn.body_bytes_written(), 100);
+        let mut resp = Response::full(200, vec![7u8; 100]);
+        let mut got = Vec::new();
+        let (written, sent) = write_response(&mut got, &mut resp, Duration::from_secs(10));
+        assert!(sent);
+        assert_eq!(written, resp.head_len + 100);
+        assert_eq!(written.saturating_sub(resp.head_len), 100);
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback() {
+        let any: SocketAddr = "0.0.0.0:7797".parse().unwrap();
+        assert_eq!(wake_addr(any), "127.0.0.1:7797".parse().unwrap());
+        let any6: SocketAddr = "[::]:7797".parse().unwrap();
+        assert_eq!(wake_addr(any6), "[::1]:7797".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
     }
 }

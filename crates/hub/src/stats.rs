@@ -97,7 +97,7 @@ impl Stats {
             let _ =
                 registry.histogram_labeled("hub_request_duration_ms", labels, DURATION_MS_BUCKETS);
         }
-        // Reactor + cache series, present (at zero) from the first scrape.
+        // Connection + cache series, present (at zero) from the first scrape.
         let _ = registry.gauge("hub_connections_open");
         let _ = registry.gauge("hub_connections_peak");
         let _ = registry.counter("hub_connections_rejected_total");
@@ -106,27 +106,27 @@ impl Stats {
         Self { registry }
     }
 
-    /// Currently open reactor connections.
+    /// Currently open (admitted) connections.
     pub fn conn_open(&self) -> &'static Gauge {
         self.registry.gauge("hub_connections_open")
     }
 
     /// High-water mark of simultaneously open connections — the metric
-    /// that proves the old one-worker-per-connection ceiling is gone.
+    /// that shows connections are not capped by the handler slots.
     pub fn conn_peak(&self) -> &'static Gauge {
         self.registry.gauge("hub_connections_peak")
     }
 
     /// Connections answered 503 + `Retry-After` at accept time because
-    /// the `--max-conns` cap was reached. A full worker queue is *not*
-    /// counted here (and never 503s): complete requests park FIFO in
-    /// the reactor and retry as completions free queue slots.
+    /// the `--max-conns` cap was reached. Busy handler slots are *not*
+    /// counted here (and never 503): a complete request waits on its
+    /// connection thread until a slot frees.
     pub fn conn_rejected(&self) -> &'static Counter {
         self.registry.counter("hub_connections_rejected_total")
     }
 
     /// Requests answered 503 + `Retry-After` because admitting their
-    /// declared body would overrun the reactor's aggregate in-flight
+    /// declared body would overrun the server's aggregate in-flight
     /// request-body budget (`--body-budget`).
     pub fn body_rejected(&self) -> &'static Counter {
         self.registry.counter("hub_body_rejected_total")

@@ -1,8 +1,8 @@
-//! Reactor-specific regression tests over raw loopback sockets: stalled
-//! and hostile clients must be reaped by the per-state timeout axes
-//! without stalling anyone else, saturation must answer 503 +
-//! `Retry-After`, and the connection peak must be able to exceed the
-//! worker pool width (the old one-worker-per-connection ceiling).
+//! Connection-handling regression tests over raw loopback sockets:
+//! stalled and hostile clients must be reaped by the per-state timeout
+//! axes without stalling anyone else, saturation must answer 503 +
+//! `Retry-After`, the connection peak must be able to exceed the handler
+//! slot count, and `stop` must not wait out held connections.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
 use mh_dnn::zoo;
@@ -259,6 +259,11 @@ fn saturation_answers_503_with_retry_after() {
     );
     assert!(text.contains("Retry-After: 1"), "{text}");
     assert!(server.stats().conn_rejected().get() >= 1);
+    assert!(
+        server.stats().conn_peak().get() <= 2,
+        "a rejected connection must not count as open (peak = {})",
+        server.stats().conn_peak().get()
+    );
 
     // Freeing the slots restores service.
     drop(hold_a);
@@ -280,9 +285,8 @@ fn connection_peak_exceeds_pool_width() {
         },
     );
 
-    // 16 connections each holding a partial request head — under the old
-    // one-worker-per-connection design with 2 workers, at most a handful
-    // could even exist in-flight; the reactor holds all of them.
+    // 16 connections each holding a partial request head — far more
+    // than the 2 handler slots; every one of them is open at once.
     let mut held: Vec<TcpStream> = Vec::new();
     for _ in 0..16 {
         let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -470,4 +474,43 @@ fn second_pull_wave_hits_the_object_cache() {
         "second pull wave must hit the cache"
     );
     server.stop();
+}
+
+#[test]
+fn stop_returns_promptly_with_held_connections() {
+    let repo_dir = temp_dir("stop-repo");
+    let repo = big_repo(&repo_dir, "big-stop");
+    let (server, client) = start_server("stop", Config::default());
+    client.publish_repo(&repo, "big-stop").unwrap();
+    let stats = server.stats();
+
+    // One connection parked mid-head, one `/objects` stream that is
+    // never read: both threads sit in a blocking read or write, far
+    // inside the default idle timeout and state deadline.
+    let mut partial = TcpStream::connect(server.local_addr()).unwrap();
+    partial.write_all(b"GET /repos HTT").unwrap();
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    silent.write_all(&objects_request("big-stop")).unwrap();
+    let mut held = false;
+    for _ in 0..200 {
+        if stats.conn_open().get() >= 2 {
+            held = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(held, "both connections must be open before stop");
+    // Let the stream fill the socket buffers.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let t0 = std::time::Instant::now();
+    server.stop();
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "stop must not wait out the held connections: {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(stats.conn_open().get(), 0, "no connection may outlive stop");
+    drop(partial);
+    drop(silent);
 }

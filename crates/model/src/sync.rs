@@ -197,6 +197,29 @@ impl Condvar {
         }
     }
 
+    /// [`Condvar::wait`] that also returns once `timeout` has passed.
+    /// Under the model a timed wait may time out at any point, so it is
+    /// a release-and-reacquire: a spurious wakeup the caller's condition
+    /// loop absorbs.
+    pub fn wait_timeout<'a, T: ?Sized>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: std::time::Duration,
+    ) -> MutexGuard<'a, T> {
+        let m = guard.m;
+        if guard.model {
+            drop(guard);
+            return m.lock();
+        }
+        let before = self.epoch.load(Ordering::SeqCst);
+        let start = now();
+        drop(guard);
+        while self.epoch.load(Ordering::SeqCst) == before && start.elapsed() < timeout {
+            std::thread::yield_now();
+        }
+        m.lock()
+    }
+
     pub fn notify_one(&self) {
         if rt::in_model() {
             rt::notify(self.addr(), false);

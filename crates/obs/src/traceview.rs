@@ -13,7 +13,7 @@
 //! not comparable across processes, so the client/server network gap is
 //! attributed by duration: `parent.dur_us - child.dur_us` is the
 //! client-observed time the request spent outside the server span
-//! (network transfer + reactor queueing), rendered as `network+queue=`.
+//! (network transfer + server queueing), rendered as `network+queue=`.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};

@@ -77,6 +77,18 @@ mod std_backend {
             self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
         }
 
+        /// [`Condvar::wait`] that also returns once `timeout` has
+        /// passed; the caller re-checks its condition and the clock.
+        pub fn wait_timeout<'a, T>(
+            &self,
+            guard: MutexGuard<'a, T>,
+            timeout: std::time::Duration,
+        ) -> MutexGuard<'a, T> {
+            self.0
+                .wait_timeout(guard, timeout)
+                .map_or_else(|e| e.into_inner().0, |(guard, _)| guard)
+        }
+
         pub fn notify_one(&self) {
             self.0.notify_one();
         }

@@ -118,7 +118,6 @@ impl Catalog {
 
     /// Run a read-only closure against the database.
     pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        // mh-audit: allow(R001, the reactor never touches the catalog — this edge is by-name widening of the io ".read" call, catalog reads run on worker threads)
         f(&self.inner.read())
     }
 

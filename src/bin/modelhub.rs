@@ -41,10 +41,11 @@
 //! small HTTP/1.1-subset wire protocol with git-style incremental object
 //! transfer; `dlv publish/search/pull` accept its `http://host:port` URL
 //! anywhere a hub directory is accepted. Default address: 127.0.0.1:7797.
-//! The nonblocking reactor holds `--max-conns` simultaneous connections
-//! (default 1024; over-cap connects get 503 + Retry-After) over a worker
-//! pool of `--jobs` threads, and serves hot objects and manifests from an
-//! in-memory LRU capped at `--cache-bytes` (default 64 MiB; 0 disables).
+//! Each connection is served on a blocking thread of its own, up to
+//! `--max-conns` at once (default 1024; over-cap connects get 503 +
+//! Retry-After); at most `--jobs` requests are routed at once, and hot
+//! objects and manifests serve from an in-memory LRU capped at
+//! `--cache-bytes` (default 64 MiB; 0 disables).
 //! `--body-budget` (bytes, default 256 MiB) caps the aggregate declared
 //! request-body bytes buffered across all connections; requests past it
 //! are answered 503 + Retry-After (one body is always admitted when
