@@ -7,7 +7,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{sorted_code_lengths, Decoder, Encoder, MAX_BITS};
-use crate::lz77::{self, Token};
+use crate::lz77::Token;
 use crate::CompressError;
 
 pub const MAGIC: [u8; 4] = *b"MHZ1";
@@ -41,29 +41,60 @@ const DIST_EXTRA: [u8; 30] = [
     13,
 ];
 
-/// Map a match length (3..=258) to (code index 0..29, extra bits value).
+/// Length code index for each match length, indexed by `len - 3`: the
+/// largest code whose base does not exceed the length.
+const LEN_CODE: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut code = 0;
+    let mut len = 3;
+    while len <= 258 {
+        while code + 1 < LEN_BASE.len() && LEN_BASE[code + 1] as usize <= len {
+            code += 1;
+        }
+        t[len - 3] = code as u8;
+        len += 1;
+    }
+    t
+};
+
+/// Distance code index as zlib looks it up: slot `d` for `d = dist - 1 <
+/// 256`, else slot `256 + (d >> 7)`. Every code from 16 on starts at a
+/// multiple of 128 in `d`, so one slot never straddles two codes.
+const DIST_CODE: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut slot = 0;
+    while slot < 512 {
+        let dist = if slot < 256 {
+            slot + 1
+        } else {
+            ((slot - 256) << 7) + 1
+        };
+        let mut code = 0;
+        while code + 1 < DIST_BASE.len() && DIST_BASE[code + 1] as usize <= dist {
+            code += 1;
+        }
+        t[slot] = code as u8;
+        slot += 1;
+    }
+    t
+};
+
+/// Map a match length (3..=258) to (code index 0..29, extra value, extra bits).
 #[inline]
 fn length_code(len: u16) -> (usize, u16, u8) {
     debug_assert!((3..=258).contains(&len));
-    // Linear scan is fine: table is tiny and this is encode-side only.
-    for i in (0..29).rev() {
-        if len >= LEN_BASE[i] {
-            return (i, len - LEN_BASE[i], LEN_EXTRA[i]);
-        }
-    }
-    unreachable!("length below minimum")
+    let code = usize::from(LEN_CODE[usize::from(len) - 3]);
+    (code, len - LEN_BASE[code], LEN_EXTRA[code])
 }
 
 /// Map a distance (1..=32768) to (code index, extra value, extra bits).
 #[inline]
 fn dist_code(dist: u16) -> (usize, u16, u8) {
     debug_assert!(dist >= 1);
-    for i in (0..30).rev() {
-        if dist >= DIST_BASE[i] {
-            return (i, dist - DIST_BASE[i], DIST_EXTRA[i]);
-        }
-    }
-    unreachable!("distance below minimum")
+    let d = usize::from(dist) - 1;
+    let slot = if d < 256 { d } else { 256 + (d >> 7) };
+    let code = usize::from(DIST_CODE[slot]);
+    (code, dist - DIST_BASE[code], DIST_EXTRA[code])
 }
 
 /// Unsigned LEB128.
@@ -240,16 +271,15 @@ pub fn decode_tokens(payload: &[u8], orig_len: usize) -> Result<Vec<u8>, Compres
     Ok(out)
 }
 
-/// Tokenize + entropy-code `data` at the given matcher configuration.
-pub fn lz_huff_compress(data: &[u8], cfg: lz77::MatcherConfig) -> Vec<u8> {
-    let tokens = lz77::tokenize(data, cfg);
-    encode_tokens(&tokens)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lz77::MatcherConfig;
+    use crate::lz77::{self, MatcherConfig};
+
+    /// Tokenize + entropy-code `data` at the given matcher configuration.
+    fn lz_huff_compress(data: &[u8], cfg: MatcherConfig) -> Vec<u8> {
+        encode_tokens(&lz77::tokenize(data, cfg))
+    }
 
     #[test]
     fn varint_roundtrip() {
@@ -271,14 +301,21 @@ mod tests {
 
     #[test]
     fn length_and_distance_codes_cover_ranges() {
+        // The lookup tables must pick what a scan for the largest base not
+        // above the value picks (258 also fits code 27's extra bits).
+        let scan = |bases: &[u16], v: u16| bases.iter().rposition(|&b| v >= b).unwrap();
         for len in 3u16..=258 {
             let (c, extra, bits) = length_code(len);
+            assert_eq!(c, scan(&LEN_BASE, len), "len {len}");
             assert_eq!(LEN_BASE[c] + extra, len);
+            assert_eq!(bits, LEN_EXTRA[c]);
             assert!(extra < (1 << bits) || bits == 0 && extra == 0);
         }
-        for dist in 1u16..=32767 {
+        for dist in 1u16..=32768 {
             let (c, extra, bits) = dist_code(dist);
+            assert_eq!(c, scan(&DIST_BASE, dist), "dist {dist}");
             assert_eq!(DIST_BASE[c] + extra, dist);
+            assert_eq!(bits, DIST_EXTRA[c]);
             assert!(u32::from(extra) < (1u32 << bits) || bits == 0 && extra == 0);
         }
     }

@@ -111,9 +111,9 @@ impl Level {
 }
 
 /// Reusable compression state: hash-chain tables and token buffer, so hot
-/// loops (per-plane compression during parallel archival) do not pay a
-/// fresh multi-hundred-KiB allocation per call. One `Scratch` per worker
-/// thread; see `mh_par::parallel_map_batched`.
+/// loops (per-plane compression during parallel archival) pay neither a
+/// fresh multi-hundred-KiB allocation nor a table clear per call. One
+/// `Scratch` per worker thread; see `mh_par::parallel_map_batched`.
 #[derive(Debug, Default)]
 pub struct Scratch {
     matcher: lz77::MatcherScratch,
@@ -256,14 +256,6 @@ pub fn compressed_len_with(data: &[u8], level: Level, scratch: &mut Scratch) -> 
     let n = out.len();
     scratch.buf = out;
     n
-}
-
-/// Compression ratio `original / compressed` (>= 1.0 means it shrank).
-pub fn ratio(data: &[u8], level: Level) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    data.len() as f64 / compress(data, level).len() as f64
 }
 
 #[cfg(test)]

@@ -183,11 +183,24 @@ unsafe fn match_len_avx2(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 }
 
 /// Reusable hash-chain buffers so repeated tokenizations (e.g. one per
-/// byte plane during archival) do not reallocate the `head`/`prev` tables.
+/// byte plane during archival) neither reallocate nor clear the
+/// `head`/`prev` tables.
+///
+/// Both tables hold position stamps: position `pos` of a call is stored
+/// as `base + pos`, and each call's `base` lies above every stamp an
+/// earlier call stored, so a stamp below `base` reads as "no position",
+/// which is what a cleared table would say. `prev` is a ring over the
+/// window: a chain only follows candidates at most `WINDOW_SIZE` back,
+/// and none of those slots has been reused yet.
 #[derive(Debug, Default)]
 pub struct MatcherScratch {
-    head: Vec<i32>,
-    prev: Vec<i32>,
+    /// Hash bucket -> stamp of the latest position with that hash.
+    head: Vec<u32>,
+    /// `pos % WINDOW_SIZE` -> stamp of the previous position in `pos`'s
+    /// chain.
+    prev: Vec<u32>,
+    /// Stamp of position 0 in the next call; every stored stamp is below it.
+    next_base: u32,
 }
 
 impl MatcherScratch {
@@ -195,29 +208,41 @@ impl MatcherScratch {
         Self::default()
     }
 
-    fn reset(&mut self, len: usize) {
-        self.head.clear();
-        self.head.resize(HASH_SIZE, -1);
-        self.prev.clear();
-        self.prev.resize(len, -1);
+    /// Start a call over `len` bytes and return its `base`. The tables are
+    /// cleared only on first use and when stamps would overflow `u32`.
+    fn reset(&mut self, len: usize) -> u32 {
+        let len = u32::try_from(len).unwrap_or(u32::MAX);
+        if self.head.is_empty() || self.next_base.checked_add(len).is_none() {
+            self.head = vec![0; HASH_SIZE];
+            self.prev = vec![0; WINDOW_SIZE];
+            self.next_base = 1;
+        }
+        let base = self.next_base;
+        // Saturates only for inputs of 4 GiB and more; their positions
+        // past the saturation point share one stamp, which can only cost
+        // matches, never yield a candidate at or after the current position.
+        self.next_base = base.saturating_add(len);
+        base
     }
 }
 
 /// Hash-chain match finder over the whole input buffer.
 struct Matcher<'a, 's> {
     data: &'a [u8],
-    head: &'s mut Vec<i32>,
-    prev: &'s mut Vec<i32>,
+    head: &'s mut [u32],
+    prev: &'s mut [u32],
+    base: u32,
     cfg: MatcherConfig,
 }
 
 impl<'a, 's> Matcher<'a, 's> {
     fn new(data: &'a [u8], cfg: MatcherConfig, scratch: &'s mut MatcherScratch) -> Self {
-        scratch.reset(data.len());
+        let base = scratch.reset(data.len());
         Self {
             data,
             head: &mut scratch.head,
             prev: &mut scratch.prev,
+            base,
             cfg,
         }
     }
@@ -229,8 +254,9 @@ impl<'a, 's> Matcher<'a, 's> {
             return;
         }
         let h = hash3(self.data, pos);
-        self.prev[pos] = self.head[h];
-        self.head[h] = pos as i32;
+        let stamp = u32::try_from(pos).map_or(u32::MAX, |p| self.base.saturating_add(p));
+        self.prev[pos % WINDOW_SIZE] = self.head[h];
+        self.head[h] = stamp;
     }
 
     /// Best match at `pos` looking back through the chain, or None.
@@ -239,13 +265,16 @@ impl<'a, 's> Matcher<'a, 's> {
             return None;
         }
         let h = hash3(self.data, pos);
-        let mut cand = self.head[h];
-        let min_pos = pos.saturating_sub(WINDOW_SIZE) as i64;
+        let mut stamp = self.head[h];
+        let min_pos = pos.saturating_sub(WINDOW_SIZE);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut chain = self.cfg.max_chain;
-        while cand >= 0 && i64::from(cand) >= min_pos && chain > 0 {
-            let c = cand as usize;
+        while stamp >= self.base && chain > 0 {
+            let c = (stamp - self.base) as usize;
+            if c < min_pos {
+                break;
+            }
             debug_assert!(c < pos);
             let l = match_len(self.data, c, pos);
             if l > best_len {
@@ -255,7 +284,7 @@ impl<'a, 's> Matcher<'a, 's> {
                     break;
                 }
             }
-            cand = self.prev[c];
+            stamp = self.prev[c % WINDOW_SIZE];
             chain -= 1;
         }
         if best_len >= MIN_MATCH {
@@ -410,6 +439,24 @@ mod tests {
         ] {
             roundtrip(&data, cfg);
         }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_across_stamp_overflow() {
+        let a: Vec<u8> = b"abcdefgh".iter().cycle().take(5000).copied().collect();
+        let b: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 13) as u8).collect();
+        let cfg = MatcherConfig::default_level();
+        let mut scratch = MatcherScratch::new();
+        let mut out = Vec::new();
+        tokenize_into(&a, cfg, &mut scratch, &mut out);
+        // The next call cannot stamp 5000 positions without overflow, so it
+        // clears the tables; the one after runs on the fresh stamps.
+        scratch.next_base = u32::MAX - 100;
+        for data in [&b, &a] {
+            tokenize_into(data, cfg, &mut scratch, &mut out);
+            assert_eq!(out, tokenize(data, cfg));
+        }
+        assert_eq!(scratch.next_base, 1 + 10_000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::selector::{substitute, Selector};
 use crate::DqlError;
-use mh_dlv::{CommitRequest, Repository, VersionKey, VersionSummary};
+use mh_dlv::{CommitRequest, DlvError, Repository, VersionKey, VersionSummary};
 use mh_dnn::{
     accuracy, Activation, Dataset, Hyperparams, LayerKind, Network, NodeId, PoolKind, Trainer,
     Weights,
@@ -322,7 +322,7 @@ impl<'a> Executor<'a> {
         spec: &str,
         derived: &Network,
     ) -> Result<Option<Weights>, DqlError> {
-        let Ok(full) = self.repo.get_weights(spec, None) else {
+        let Some(full) = self.latest_weights(spec)? else {
             return Ok(None);
         };
         let mut w = Weights::new();
@@ -334,6 +334,14 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(Some(w))
+    }
+
+    /// The latest weights of `spec`, or `None` for a version with no
+    /// snapshot. Any other failed read (a truncated plane, a missing
+    /// store, a bad catalog row) is an error, never "no weights": a
+    /// derived model must not silently lose its warm start.
+    fn latest_weights(&self, spec: &str) -> Result<Option<Weights>, DqlError> {
+        no_snapshot_is_none(self.repo.get_weights(spec, None))
     }
 
     // ---- construct ----------------------------------------------------
@@ -422,7 +430,7 @@ impl<'a> Executor<'a> {
                     let spec = s.key.to_string();
                     Ok(DerivedModel {
                         network: self.repo.get_network(&spec).map_err(DqlError::Dlv)?,
-                        init: self.repo.get_weights(&spec, None).ok(),
+                        init: self.latest_weights(&spec)?,
                         source: s.key,
                         derivation: spec,
                     })
@@ -437,7 +445,7 @@ impl<'a> Executor<'a> {
                         let spec = s.key.to_string();
                         Ok(DerivedModel {
                             network: self.repo.get_network(&spec).map_err(DqlError::Dlv)?,
-                            init: self.repo.get_weights(&spec, None).ok(),
+                            init: self.latest_weights(&spec)?,
                             source: s.key,
                             derivation: spec,
                         })
@@ -671,6 +679,16 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// Map a weight read to warm-start weights: only `NoSuchSnapshot` (a
+/// version with no snapshot) means "no weights".
+fn no_snapshot_is_none(read: Result<Weights, DlvError>) -> Result<Option<Weights>, DqlError> {
+    match read {
+        Ok(w) => Ok(Some(w)),
+        Err(DlvError::NoSuchSnapshot(_)) => Ok(None),
+        Err(e) => Err(DqlError::Dlv(e)),
+    }
+}
+
 /// Does a node's kind match a `has` template?
 fn template_matches(tpl: &NodeTemplate, kind: &LayerKind) -> bool {
     if tpl.ty != kind.type_name() {
@@ -778,4 +796,25 @@ fn instantiate_template(
         ),
         _ => return Err(DqlError::BadQuery("unknown node template")),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_missing_snapshot_means_no_weights() {
+        assert!(matches!(
+            no_snapshot_is_none(Err(DlvError::NoSuchSnapshot(0))),
+            Ok(None)
+        ));
+        assert!(matches!(
+            no_snapshot_is_none(Ok(Weights::new())),
+            Ok(Some(_))
+        ));
+        assert!(matches!(
+            no_snapshot_is_none(Err(DlvError::Corrupt("truncated plane"))),
+            Err(DqlError::Dlv(DlvError::Corrupt(_)))
+        ));
+    }
 }

@@ -2,9 +2,9 @@
 //! run the paper's four query archetypes against it.
 
 #![allow(clippy::unwrap_used)] // test/bench/demo code: panics are failures
-use mh_dlv::{CommitRequest, Repository};
+use mh_dlv::{ArchiveConfig, CommitRequest, Repository};
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
-use mh_dql::{Executor, QueryResult};
+use mh_dql::{DqlError, Executor, QueryResult};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -287,6 +287,72 @@ fn evaluate_threshold_keep_and_input_data() {
         rows.iter().all(|r| r.kept),
         "threshold 100 keeps everything"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fixture, archived, with every non-empty plane file cut short by a
+/// byte: no archived weights can be read back.
+fn archived_with_truncated_planes(tag: &str) -> (Repository, PathBuf) {
+    let (repo, dir) = fixture(tag);
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let mut cut = 0;
+    for store in std::fs::read_dir(dir.join("pas")).unwrap().flatten() {
+        for plane in std::fs::read_dir(store.path()).unwrap().flatten() {
+            let path = plane.path();
+            if path.extension().is_some_and(|e| e == "mhz") {
+                let bytes = std::fs::read(&path).unwrap();
+                if !bytes.is_empty() {
+                    std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+                    cut += 1;
+                }
+            }
+        }
+    }
+    assert!(cut > 0, "archive wrote no planes");
+    (repo, dir)
+}
+
+fn assert_read_error(result: Result<QueryResult, DqlError>) {
+    match result {
+        Err(DqlError::Dlv(_)) => {}
+        other => panic!("a truncated plane must surface as a read error: {other:?}"),
+    }
+}
+
+#[test]
+fn slice_over_a_truncated_plane_is_an_error() {
+    let (repo, dir) = archived_with_truncated_planes("cut-slice");
+    let exec = Executor::new(&repo);
+    assert_read_error(exec.run(
+        r#"slice m2 from m1 where m1.name like "lenet-origin%"
+           mutate m2.input = m1["conv1"] and m2.output = m1["ip1"]"#,
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn construct_over_a_truncated_plane_is_an_error() {
+    let (repo, dir) = archived_with_truncated_planes("cut-construct");
+    let exec = Executor::new(&repo);
+    assert_read_error(exec.run(
+        r#"construct m2 from m1 where m1.name like "lenet-origin%"
+           mutate m1["pool2"].insert = TANH("t1")"#,
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn evaluate_over_a_truncated_plane_is_an_error() {
+    let (repo, dir) = archived_with_truncated_planes("cut-evaluate");
+    let mut exec = Executor::new(&repo);
+    exec.register_dataset("synth3", dataset());
+    let before = repo.list().len();
+    assert_read_error(exec.run(
+        r#"evaluate m from "lenet-origin%"
+           vary config.base_lr in [0.1]
+           keep top(1, m["loss"], 1)"#,
+    ));
+    assert_eq!(repo.list().len(), before, "nothing trained or committed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

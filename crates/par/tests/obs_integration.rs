@@ -51,10 +51,25 @@ fn span_nesting_crosses_pool_threads() {
     let _g = mh_obs::test_trace_lock();
     mh_obs::enable_capture();
     let items: Vec<usize> = (0..64).collect();
+    // Threads that have started a task. Item 0's task holds its worker
+    // until a task starts on some other worker (bounded, so a broken pool
+    // fails the assertion below instead of hanging), so the work runs on
+    // more than one thread by construction, not by scheduling luck: the
+    // other 63 items can only be taken by the other workers.
+    let started = std::sync::Mutex::new(std::collections::HashSet::new());
+    let another_started = std::sync::Condvar::new();
     {
         let _submit = mh_obs::span("parit.submit");
-        map_at(4, &items, |_| {
+        map_at(4, &items, |&i| {
             let _task = mh_obs::span("parit.task");
+            let mut seen = started.lock().unwrap();
+            seen.insert(std::thread::current().id());
+            another_started.notify_all();
+            if i == 0 {
+                let _ = another_started
+                    .wait_timeout_while(seen, std::time::Duration::from_secs(30), |s| s.len() < 2)
+                    .unwrap();
+            }
         })
         .expect("map succeeds");
     }
@@ -71,15 +86,9 @@ fn span_nesting_crosses_pool_threads() {
         tasks.iter().all(|t| t.parent == submit.id),
         "every worker span must parent under the submitting span"
     );
-    // The work genuinely ran on multiple threads. Only asserted on the
-    // std backend: the model backend's runtime-fallback primitives are
-    // spin-based, so a single worker legitimately drains all 64 trivial
-    // tasks before the other workers win a first pop.
-    #[cfg(not(feature = "model"))]
-    {
-        let threads: std::collections::HashSet<u64> = tasks.iter().map(|t| t.thread).collect();
-        assert!(threads.len() > 1, "expected >1 worker thread");
-    }
+    // The work genuinely ran on multiple threads.
+    let threads: std::collections::HashSet<u64> = tasks.iter().map(|t| t.thread).collect();
+    assert!(threads.len() > 1, "expected >1 worker thread");
     // And the profile tree nests the tasks under the submit span.
     let tree = mh_obs::build_profile(&records);
     let root = tree
