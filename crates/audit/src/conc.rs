@@ -1,13 +1,7 @@
 //! Pass R — static concurrency analysis.
 //!
-//! Three layers on top of [`crate::effects`] blocking-effect inference:
+//! Two layers on top of [`crate::effects`] blocking-effect inference:
 //!
-//! * **Nonblocking zones** (R001/R002) — walks the call graph from every
-//!   `// mh-audit: nonblocking_zone` entry (event-loop code that must
-//!   never park) and flags each directly-blocking operation in a
-//!   reachable function: R001 for blocking synchronization (lock
-//!   acquire, condvar wait, sleep, pool/thread join), R002 for blocking
-//!   file/socket I/O. Mirrors the `no_panic_zone` machinery.
 //! * **Guard-held regions** — tracks `let g = m.lock()` bindings through
 //!   their lexical scope (early `drop(g)` aware; a region dies when its
 //!   enclosing block closes). Guards are only *created* when the acquire
@@ -404,38 +398,6 @@ pub fn run(graph: &Graph, files: &[ParsedFile]) -> BTreeMap<usize, Vec<Finding>>
     let eff = effects::infer(graph, files);
     let mut out: BTreeMap<usize, Vec<Finding>> = BTreeMap::new();
 
-    // R001/R002 — blocking ops reachable inside nonblocking zones.
-    let (reached, parents) = graph.reachable_nonblocking();
-    for &id in &reached {
-        let f = &graph.funcs[id];
-        if f.body.is_empty() {
-            continue;
-        }
-        let entry = graph.witness_entry(&parents, id);
-        let ctx = if entry == id {
-            format!("in nonblocking zone `{}`", f.qualified())
-        } else {
-            format!(
-                "in `{}` (reachable from nonblocking zone `{}`)",
-                f.qualified(),
-                graph.funcs[entry].qualified()
-            )
-        };
-        let fi = graph.file_of[id];
-        for seed in &eff.seeds[id] {
-            let (code, label): (&'static str, &str) = if seed.kind == effects::IO {
-                ("R002", "blocking I/O")
-            } else {
-                ("R001", "blocking operation")
-            };
-            out.entry(fi).or_default().push(Finding::new(
-                seed.line,
-                code,
-                format!("{label} {} {ctx}", seed.what),
-            ));
-        }
-    }
-
     // Transitive acquires, then guard-held regions and the order graph.
     let n = graph.funcs.len();
     let mut acq: Vec<BTreeSet<String>> = (0..n)
@@ -600,22 +562,6 @@ mod tests {
                fn f(&self, p: &P) { let n = self.a.lock().len(); std::fs::write(p, b); }\n\
              }";
         assert!(codes(src).is_empty());
-    }
-
-    #[test]
-    fn zone_flags_lock_and_io() {
-        let m = crate::lexer::MARKER;
-        let src = format!(
-            "// {m} nonblocking_zone\n\
-             fn pump(q: &Q, s: &mut S, buf: &mut [u8]) {{ helper(q); }}\n\
-             fn helper(q: &Q) {{ let g = q.lock(); }}"
-        );
-        assert_eq!(codes(&src), vec!["R001"]);
-        let src2 = format!(
-            "// {m} nonblocking_zone\n\
-             fn pump(s: &mut S, buf: &mut [u8]) {{ s.read(buf); }}"
-        );
-        assert_eq!(codes(&src2), vec!["R002"]);
     }
 
     #[test]

@@ -489,14 +489,6 @@ impl Graph {
         self.reachable_from(entries)
     }
 
-    /// BFS from `nonblocking_zone` entry functions, same boundary rules.
-    pub fn reachable_nonblocking(&self) -> (Vec<usize>, BTreeMap<usize, usize>) {
-        let entries: Vec<usize> = (0..self.funcs.len())
-            .filter(|&i| self.funcs[i].nonblocking && !self.funcs[i].in_test)
-            .collect();
-        self.reachable_from(entries)
-    }
-
     /// BFS from the given entry set; `trusted` functions terminate the
     /// walk (reachable but neither scanned nor expanded).
     pub fn reachable_from(&self, mut entries: Vec<usize>) -> (Vec<usize>, BTreeMap<usize, usize>) {

@@ -51,9 +51,6 @@ pub struct Token {
 pub enum Directive {
     /// `no_panic_zone` — the next `fn` is a panic-reachability entry.
     NoPanicZone,
-    /// `nonblocking_zone` — the next `fn` is a blocking-reachability
-    /// entry: no transitively-blocking call may be reachable from it.
-    NonBlockingZone,
     /// `trusted(reason)` — the next `fn` is assumed total; body and
     /// callees are not audited.
     Trusted(String),
@@ -117,7 +114,6 @@ fn parse_directive(comment: &str) -> Option<Directive> {
     };
     Some(match word.as_str() {
         "no_panic_zone" => Directive::NoPanicZone,
-        "nonblocking_zone" => Directive::NonBlockingZone,
         "trusted" => match paren_arg() {
             Some(r) if !r.is_empty() => Directive::Trusted(r),
             _ => Directive::Malformed("trusted requires a (reason)".into()),

@@ -15,8 +15,7 @@
 //! * **Token rules** ([`rules`]) — the absorbed sync-facade lint
 //!   (A101–A104), now over real tokens instead of text.
 //! * **Pass R** ([`conc`], on [`effects`]) — static concurrency audit:
-//!   blocking-effect inference, `// mh-audit: nonblocking_zone`
-//!   reachability (R001/R002), a whole-workspace lock-order graph with
+//!   blocking-effect inference, a whole-workspace lock-order graph with
 //!   ABBA-cycle detection (R003), and guard-held-region analysis for
 //!   blocking I/O / pool waits under a lock (R004/R005).
 //!
@@ -112,17 +111,6 @@ pub fn audit_sources(sources: &[SourceFile]) -> Report {
         e.sort();
         e.dedup();
         e
-    };
-    report.zones = {
-        let mut z: Vec<String> = graph
-            .funcs
-            .iter()
-            .filter(|f| f.nonblocking && !f.in_test)
-            .map(|f| f.qualified())
-            .collect();
-        z.sort();
-        z.dedup();
-        z
     };
     for (fi, p) in parsed.iter().enumerate() {
         let raw = raw_by_file.remove(&fi).unwrap_or_default();

@@ -36,8 +36,6 @@ pub struct Func {
     pub in_test: bool,
     /// Attached annotations.
     pub entry: bool,
-    /// `nonblocking_zone` entry for the concurrency pass.
-    pub nonblocking: bool,
     pub trusted: Option<String>,
     pub source: Option<String>,
 }
@@ -248,7 +246,6 @@ fn parse_use(tokens: &[Token], start: usize, uses: &mut BTreeMap<String, Vec<Str
 #[derive(Default, Clone)]
 struct PendingAnns {
     entry: bool,
-    nonblocking: bool,
     trusted: Option<String>,
     source: Option<String>,
 }
@@ -274,10 +271,7 @@ pub fn parse(rel: &str, crate_name: &str, file_module: &[String], lexed: LexFile
         .filter(|a| {
             matches!(
                 a.directive,
-                Directive::NoPanicZone
-                    | Directive::NonBlockingZone
-                    | Directive::Trusted(_)
-                    | Directive::Source(_)
+                Directive::NoPanicZone | Directive::Trusted(_) | Directive::Source(_)
             )
         })
         .map(|a| (a.line, a.directive.clone()))
@@ -432,7 +426,6 @@ pub fn parse(rel: &str, crate_name: &str, file_module: &[String], lexed: LexFile
                     if *line <= header_line {
                         match d {
                             Directive::NoPanicZone => attached.entry = true,
-                            Directive::NonBlockingZone => attached.nonblocking = true,
                             Directive::Trusted(r) => attached.trusted = Some(r.clone()),
                             Directive::Source(r) => attached.source = Some(r.clone()),
                             _ => {}
@@ -470,7 +463,6 @@ pub fn parse(rel: &str, crate_name: &str, file_module: &[String], lexed: LexFile
                     body: body.clone(),
                     in_test,
                     entry: attached.entry,
-                    nonblocking: attached.nonblocking,
                     trusted: attached.trusted,
                     source: attached.source,
                 });

@@ -37,8 +37,6 @@ pub struct Report {
     pub audited_fns: usize,
     /// Declared entry points (qualified names, sorted).
     pub entries: Vec<String>,
-    /// Declared nonblocking zones (qualified names, sorted).
-    pub zones: Vec<String>,
 }
 
 /// Every code the auditor can emit, with a one-line meaning. The CLIs
@@ -72,14 +70,6 @@ pub fn rules_inventory() -> &'static [(&'static str, &'static str)] {
         ("A103", "std::thread primitive; use mh_par::sync::thread"),
         ("A104", "direct Instant::now; use mh_par::sync::now()"),
         (
-            "R001",
-            "blocking sync op (lock/condvar/sleep/join) reachable in a nonblocking_zone",
-        ),
-        (
-            "R002",
-            "blocking file/socket I/O reachable in a nonblocking_zone",
-        ),
-        (
             "R003",
             "lock-order cycle across the workspace (potential ABBA deadlock)",
         ),
@@ -110,13 +100,12 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "mh-audit: {} finding(s), {} waived, {} file(s) scanned, {} fn(s) audited from {} entry point(s), {} nonblocking zone(s)",
+            "mh-audit: {} finding(s), {} waived, {} file(s) scanned, {} fn(s) audited from {} entry point(s)",
             self.findings.len(),
             self.waived,
             self.scanned_files,
             self.audited_fns,
             self.entries.len(),
-            self.zones.len(),
         );
         out
     }
@@ -295,7 +284,7 @@ mod tests {
     fn inventory_covers_all_codes() {
         let inv = rules_inventory();
         let codes: Vec<&str> = inv.iter().map(|(c, _)| *c).collect();
-        for c in ["A001", "A010", "A104", "R001", "R005", "W001"] {
+        for c in ["A001", "A010", "A104", "R003", "R005", "W001"] {
             assert!(codes.contains(&c), "{c} missing from inventory");
         }
         // Sorted and unique — the --version listing is deterministic.

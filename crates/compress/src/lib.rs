@@ -17,6 +17,8 @@
 //! assert_eq!(decompress(&packed).unwrap(), data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitio;
 pub mod format;
 pub mod huffman;

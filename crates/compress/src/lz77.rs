@@ -67,64 +67,18 @@ fn hash3(data: &[u8], pos: usize) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
-const SIMD_UNKNOWN: u8 = 0;
-// On x86_64 this level is unreachable (SSE2 is baseline), so the const is
-// referenced only on other targets.
-#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-const SIMD_SCALAR: u8 = 1;
-#[cfg(target_arch = "x86_64")]
-const SIMD_SSE2: u8 = 2;
-#[cfg(target_arch = "x86_64")]
-const SIMD_AVX2: u8 = 3;
-
-static SIMD_LEVEL: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(SIMD_UNKNOWN);
-
-/// Runtime-detected vector width for the match finder, cached per
-/// process: AVX2 (32-byte compares), the x86_64 SSE2 baseline (16-byte),
-/// or the scalar 8-bytes-at-a-time fallback on other architectures.
-fn simd_level() -> u8 {
-    let l = SIMD_LEVEL.load(std::sync::atomic::Ordering::Relaxed);
-    if l != SIMD_UNKNOWN {
-        return l;
-    }
-    #[cfg(target_arch = "x86_64")]
-    let detected = if std::arch::is_x86_feature_detected!("avx2") {
-        SIMD_AVX2
-    } else {
-        SIMD_SSE2
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let detected = SIMD_SCALAR;
-    SIMD_LEVEL.store(detected, std::sync::atomic::Ordering::Relaxed);
-    detected
-}
-
 /// Longest common prefix of `data[a..]` and `data[b..]`, capped at
 /// MAX_MATCH. `a < b` always holds (candidates sit earlier in the
 /// window), so every read below ends at or before `b + max <= data.len()`.
 ///
 /// The hottest loop in archival: every hash-chain candidate funnels
-/// through here, so the compare width is runtime-dispatched. All three
-/// widths return the identical length (exact byte-prefix semantics — no
-/// floats), pinned by the equivalence proptests in `simd_match_tests`.
+/// through here. It compares 8 bytes at a time as one `u64` XOR (the
+/// first differing byte is the lowest set bit of a little-endian word),
+/// then bytewise; `match_len_tests` pins it to a byte-by-byte reference.
 #[inline]
 fn match_len(data: &[u8], a: usize, b: usize) -> usize {
     let max = (data.len() - b).min(MAX_MATCH);
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 presence established by runtime detection.
-        SIMD_AVX2 => unsafe { match_len_avx2(data, a, b, max) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SIMD_SSE2 => unsafe { match_len_sse2(data, a, b, max) },
-        _ => match_len_tail(data, a, b, max, 0),
-    }
-}
-
-/// Scalar compare from offset `l`: 8 bytes at a time, then bytewise.
-/// Also the tail loop for the vector paths.
-#[inline]
-fn match_len_tail(data: &[u8], a: usize, b: usize, max: usize, mut l: usize) -> usize {
+    let mut l = 0;
     while l + 8 <= max {
         let x = u64::from_le_bytes(data[a + l..a + l + 8].try_into().expect("fixed-size chunk"));
         let y = u64::from_le_bytes(data[b + l..b + l + 8].try_into().expect("fixed-size chunk"));
@@ -138,48 +92,6 @@ fn match_len_tail(data: &[u8], a: usize, b: usize, max: usize, mut l: usize) -> 
         l += 1;
     }
     l
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// mh-audit: trusted(total: loads bounded by l+16 <= max <= len-b with a < b; equivalence proptests in simd_match_tests)
-unsafe fn match_len_sse2(data: &[u8], a: usize, b: usize, max: usize) -> usize {
-    use std::arch::x86_64::*;
-    let p = data.as_ptr();
-    let mut l = 0usize;
-    while l + 16 <= max {
-        // SAFETY: l + 16 <= max = min(len - b, MAX_MATCH) and a < b, so
-        // both 16-byte loads end at or before data.len().
-        let x = _mm_loadu_si128(p.add(a + l).cast());
-        let y = _mm_loadu_si128(p.add(b + l).cast());
-        let mask = _mm_movemask_epi8(_mm_cmpeq_epi8(x, y)) as u32;
-        if mask != 0xFFFF {
-            return l + (!mask).trailing_zeros() as usize;
-        }
-        l += 16;
-    }
-    match_len_tail(data, a, b, max, l)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// mh-audit: trusted(total: loads bounded by l+32 <= max <= len-b with a < b; equivalence proptests in simd_match_tests)
-unsafe fn match_len_avx2(data: &[u8], a: usize, b: usize, max: usize) -> usize {
-    use std::arch::x86_64::*;
-    let p = data.as_ptr();
-    let mut l = 0usize;
-    while l + 32 <= max {
-        // SAFETY: l + 32 <= max = min(len - b, MAX_MATCH) and a < b, so
-        // both 32-byte loads end at or before data.len().
-        let x = _mm256_loadu_si256(p.add(a + l).cast());
-        let y = _mm256_loadu_si256(p.add(b + l).cast());
-        let mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, y)) as u32;
-        if mask != u32::MAX {
-            return l + (!mask).trailing_zeros() as usize;
-        }
-        l += 32;
-    }
-    match_len_tail(data, a, b, max, l)
 }
 
 /// Reusable hash-chain buffers so repeated tokenizations (e.g. one per
@@ -470,34 +382,25 @@ mod tests {
 }
 
 #[cfg(test)]
-mod simd_match_tests {
+mod match_len_tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// All compiled match_len implementations on one (data, a, b) input.
+    /// `match_len` against a byte-by-byte compare on one (data, a, b).
     fn assert_match_len_agrees(data: &[u8], a: usize, b: usize) {
         let max = (data.len() - b).min(MAX_MATCH);
-        let want = match_len_tail(data, a, b, max, 0);
-        assert_eq!(match_len(data, a, b), want, "dispatched a={a} b={b}");
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: SSE2 is baseline on x86_64.
-            let got = unsafe { match_len_sse2(data, a, b, max) };
-            assert_eq!(got, want, "sse2 a={a} b={b}");
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 presence just checked.
-                let got = unsafe { match_len_avx2(data, a, b, max) };
-                assert_eq!(got, want, "avx2 a={a} b={b}");
-            }
-        }
+        let want = (0..max)
+            .find(|&l| data[a + l] != data[b + l])
+            .unwrap_or(max);
+        assert_eq!(match_len(data, a, b), want, "a={a} b={b}");
     }
 
     #[test]
     fn mismatch_at_every_lane_boundary() {
         // A long equal run with a single planted mismatch at offsets
-        // straddling the 8/16/32-byte compare widths, plus the fully
-        // equal capped-at-MAX_MATCH case.
+        // straddling the 8-byte compare width, plus the fully equal
+        // capped-at-MAX_MATCH case.
         for planted in [
             0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 257, 258, 300,
         ] {
@@ -512,7 +415,7 @@ mod simd_match_tests {
 
     proptest! {
         #[test]
-        fn match_len_equivalence_on_random_inputs(
+        fn match_len_agrees_with_a_bytewise_compare(
             data in vec(0u8..4, 2..400),
             split in any::<u16>(),
         ) {

@@ -15,7 +15,9 @@
 //! [`replace_published`] (stage into a hidden sibling directory, rename
 //! into place), so a crash mid-publish never leaves a half-copied or
 //! missing published repository; `hubd` calls it with the objects a
-//! client uploaded, [`Hub::publish`] with a local repository.
+//! client uploaded, [`Hub::publish`] with a local repository. The
+//! publication stores its checked manifest ([`MANIFEST_FILE`]), which
+//! [`Hub::manifest`] reads back for negotiation, pulls and `hubd`.
 //! [`pull_into`] stages a pull next to its destination, renames it into
 //! place and fsck's it before the pull reports success; [`Hub::pull`]
 //! feeds it the published files, `RemoteHub` its object cache.
@@ -26,6 +28,7 @@ use crate::repo::Repository;
 use crate::{hash, DlvError};
 use mh_store::like_match;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,6 +72,130 @@ pub struct ManifestEntry {
     pub path: String,
     pub size: u64,
     pub hash: String,
+}
+
+/// Hard cap on the size one manifest entry (or one streamed object) may
+/// declare, so a hostile length cannot balloon receiver memory.
+pub const MAX_OBJECT_BYTES: u64 = 1 << 30;
+
+/// Hard cap on manifest entry count: a manifest declaring more lines
+/// than this is rejected before the entries are materialized.
+pub const MAX_MANIFEST_ENTRIES: usize = 1 << 16;
+
+/// Why a manifest body (or a percent-encoded field) was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestError {
+    /// A declared size or the entry count exceeds its cap.
+    TooLarge(String),
+    /// A malformed line, hash, size, percent escape or UTF-8 sequence.
+    Malformed(String),
+}
+
+impl std::fmt::Display for ManifestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TooLarge(m) => write!(f, "declared size exceeds cap: {m}"),
+            Self::Malformed(m) => write!(f, "malformed manifest: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for ManifestError {}
+
+/// Percent-encode everything outside `[A-Za-z0-9._~-]`.
+pub fn pct_encode(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+            out.push(b as char);
+        } else {
+            out.push_str(&format!("%{b:02X}"));
+        }
+    }
+    out
+}
+
+/// Decode percent-encoding; rejects malformed escapes and invalid UTF-8.
+/// Total on arbitrary input (query strings arrive straight off the wire).
+// mh-audit: no_panic_zone
+pub fn pct_decode(s: &str) -> Result<String, ManifestError> {
+    let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        if b == b'%' {
+            let hex = bytes
+                .get(i + 1..i + 3)
+                .and_then(|h| std::str::from_utf8(h).ok())
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .ok_or_else(|| ManifestError::Malformed(format!("bad percent escape in '{s}'")))?;
+            out.push(hex);
+            i += 3;
+        } else {
+            out.push(b);
+            i += 1;
+        }
+    }
+    String::from_utf8(out).map_err(|_| ManifestError::Malformed(format!("invalid utf-8 in '{s}'")))
+}
+
+/// The manifest grammar, shared by the hub wire protocol and the stored
+/// `.manifest` of a publication: one entry per line,
+/// `<sha256-hex> <size> <pct-encoded-path>`.
+pub fn encode_manifest(entries: &[ManifestEntry]) -> String {
+    let mut out = String::new();
+    for e in entries {
+        out.push_str(&format!("{} {} {}\n", e.hash, e.size, pct_encode(&e.path)));
+    }
+    out
+}
+
+/// Parse a manifest body, enforcing the declared-size caps: at most
+/// [`MAX_MANIFEST_ENTRIES`] entries, each declaring at most
+/// [`MAX_OBJECT_BYTES`]. Oversized declarations are
+/// [`ManifestError::TooLarge`] and rejected before the entry vector
+/// grows, so a handful of hostile header bytes cannot reserve gigabytes.
+// mh-audit: no_panic_zone
+pub fn parse_manifest(body: &str) -> Result<Vec<ManifestEntry>, ManifestError> {
+    let mut out = Vec::new();
+    for line in body.lines() {
+        if line.is_empty() {
+            continue;
+        }
+        if out.len() >= MAX_MANIFEST_ENTRIES {
+            return Err(ManifestError::TooLarge(format!(
+                "manifest exceeds {MAX_MANIFEST_ENTRIES} entries"
+            )));
+        }
+        let mut parts = line.splitn(3, ' ');
+        let (hash, size, path) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(h), Some(s), Some(p)) => (h, s, p),
+            _ => {
+                return Err(ManifestError::Malformed(format!(
+                    "bad manifest line '{line}'"
+                )))
+            }
+        };
+        if hash.len() != 64 || !hash.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(ManifestError::Malformed(format!(
+                "bad manifest hash '{hash}'"
+            )));
+        }
+        let size: u64 = size
+            .parse()
+            .map_err(|_| ManifestError::Malformed(format!("bad manifest size '{size}'")))?;
+        if size > MAX_OBJECT_BYTES {
+            return Err(ManifestError::TooLarge(format!(
+                "manifest entry declares {size} bytes (cap {MAX_OBJECT_BYTES})"
+            )));
+        }
+        out.push(ManifestEntry {
+            hash: hash.to_string(),
+            size,
+            path: pct_decode(path)?,
+        });
+    }
+    Ok(out)
 }
 
 /// Validate a published repository name: `/`-separated segments, each
@@ -315,6 +442,46 @@ pub fn pull_into<E: From<DlvError>>(
     Ok(repo)
 }
 
+/// The file inside a publication that holds its manifest, written by
+/// [`Hub::commit`] and read by [`Hub::manifest`]. Its leading dot keeps
+/// it out of [`committed_paths`], [`Hub::repositories`] and every pull.
+pub const MANIFEST_FILE: &str = ".manifest";
+
+/// Copy `from` to `to`, checking the bytes against `entry`'s size and
+/// hash as they stream past; a mismatch is [`DlvError::Verify`].
+fn copy_verified(from: &Path, to: &Path, entry: &ManifestEntry) -> Result<(), DlvError> {
+    struct Hashing<W> {
+        out: W,
+        hasher: hash::Sha256,
+        len: u64,
+    }
+    impl<W: Write> Write for Hashing<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.out.write(buf)?;
+            self.hasher.update(buf.get(..n).unwrap_or_default());
+            self.len += n as u64;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.out.flush()
+        }
+    }
+    let mut sink = Hashing {
+        out: std::fs::File::create(to).map_err(DlvError::Io)?,
+        hasher: hash::Sha256::new(),
+        len: 0,
+    };
+    let mut src = std::fs::File::open(from).map_err(DlvError::Io)?;
+    std::io::copy(&mut src, &mut sink).map_err(DlvError::Io)?;
+    if sink.len != entry.size || sink.hasher.finalize_hex() != entry.hash {
+        return Err(DlvError::Verify(format!(
+            "held object '{}' does not match its hash {}",
+            entry.path, entry.hash
+        )));
+    }
+    Ok(())
+}
+
 /// Where [`Hub::commit`] takes the bytes of each manifest entry from.
 #[derive(Debug, Clone, Copy)]
 pub enum Source<'a> {
@@ -350,12 +517,27 @@ impl Hub {
     /// previous publication. Each entry comes from `source` or, by hash,
     /// from the previous publication of `name`; an entry found in
     /// neither fails the commit with [`DlvError::MissingObject`].
+    ///
+    /// The manifest is stored with the publication (sorted by path, in
+    /// [`MANIFEST_FILE`]), so it is checked first: its paths must be
+    /// exactly the staged repository's committed content, each once, and
+    /// every entry's bytes must match its size and hash. Received objects
+    /// arrive hash-checked and `Source::Repo` entries were just hashed by
+    /// [`committed_manifest`]; objects copied from the previous
+    /// publication are hashed as they are copied. A mismatch fails the
+    /// commit with [`DlvError::BadManifest`] or [`DlvError::Verify`].
     pub fn commit(
         &self,
         name: &str,
         manifest: &[ManifestEntry],
         source: Source<'_>,
     ) -> Result<(), DlvError> {
+        let mut sorted = manifest.to_vec();
+        sorted.sort_by(|a, b| a.path.cmp(&b.path));
+        let paths: BTreeSet<String> = sorted.iter().map(|e| e.path.clone()).collect();
+        if paths.len() != sorted.len() {
+            return Err(DlvError::BadManifest("a path is listed twice".into()));
+        }
         let held = match source {
             Source::Objects(received)
                 if manifest.iter().any(|e| !received.contains_key(&e.hash)) =>
@@ -367,29 +549,56 @@ impl Hub {
         let old_dir = self.root.join(name);
         replace_published(&self.root, name, |stage| {
             create_standard_dirs(stage)?;
-            for entry in manifest {
+            for entry in &sorted {
                 let to = staged_file(stage, &entry.path)?;
-                let written = match source {
-                    Source::Repo(root) => std::fs::copy(root.join(&entry.path), &to).map(drop),
+                match source {
+                    Source::Repo(root) => {
+                        std::fs::copy(root.join(&entry.path), &to).map_err(DlvError::Io)?;
+                    }
                     Source::Objects(received) => {
                         match (received.get(&entry.hash), held.get(&entry.hash)) {
-                            (Some(data), _) => std::fs::write(&to, data),
-                            (None, Some(rel)) => std::fs::copy(old_dir.join(rel), &to).map(drop),
+                            (Some(data), _) if data.len() as u64 != entry.size => {
+                                return Err(DlvError::BadManifest(format!(
+                                    "'{}' declares {} bytes, its object holds {}",
+                                    entry.path,
+                                    entry.size,
+                                    data.len()
+                                )))
+                            }
+                            (Some(data), _) => std::fs::write(&to, data).map_err(DlvError::Io)?,
+                            (None, Some(rel)) => copy_verified(&old_dir.join(rel), &to, entry)?,
                             (None, None) => {
                                 return Err(DlvError::MissingObject(entry.hash.clone()))
                             }
                         }
                     }
-                };
-                written.map_err(DlvError::Io)?;
+                }
             }
-            Ok(())
+            let staged = Repository::open(stage)
+                .map_err(|e| DlvError::BadManifest(format!("the catalog does not open: {e}")))?;
+            if committed_paths(&staged)? != paths {
+                return Err(DlvError::BadManifest(
+                    "its paths are not the repository's committed content".into(),
+                ));
+            }
+            std::fs::write(stage.join(MANIFEST_FILE), encode_manifest(&sorted))
+                .map_err(DlvError::Io)
         })
     }
 
-    /// The committed-content manifest of the publication `name`.
+    /// The committed-content manifest of the publication `name`, as
+    /// stored by [`Hub::commit`]. A publication made before manifests
+    /// were stored has none; its files are hashed instead.
     pub fn manifest(&self, name: &str) -> Result<Vec<ManifestEntry>, DlvError> {
-        committed_manifest(&Repository::open(&self.published(name)?)?)
+        let dir = self.published(name)?;
+        match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
+            Ok(body) => parse_manifest(&body)
+                .map_err(|e| DlvError::Hub(format!("stored manifest of '{name}': {e}"))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                committed_manifest(&Repository::open(&dir)?)
+            }
+            Err(e) => Err(DlvError::Io(e)),
+        }
     }
 
     /// The directory of the publication `name`.
@@ -492,8 +701,11 @@ impl Hub {
     pub fn pull(&self, name: &str, dest: &Path) -> Result<Repository, DlvError> {
         let src = self.published(name)?;
         pull_into(dest, || {
-            let paths = committed_paths(&Repository::open(&src)?)?;
-            Ok(paths.into_iter().map(|rel| (src.join(&rel), rel)).collect())
+            let manifest = self.manifest(name)?;
+            Ok(manifest
+                .into_iter()
+                .map(|e| (src.join(&e.path), e.path))
+                .collect())
         })
     }
 }
@@ -513,5 +725,61 @@ impl HubBackend for Hub {
 
     fn pull(&self, name: &str, dest: &Path) -> Result<Repository, DlvError> {
         Hub::pull(self, name, dest)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(hash: &str, size: u64, path: &str) -> String {
+        format!("{hash} {size} {path}\n")
+    }
+
+    #[test]
+    fn oversized_declarations_are_too_large_and_bad_lines_malformed() {
+        let h = "a".repeat(64);
+        let over = line(&h, MAX_OBJECT_BYTES + 1, "p");
+        assert!(matches!(
+            parse_manifest(&over),
+            Err(ManifestError::TooLarge(_))
+        ));
+        let many = line(&h, 1, "p").repeat(MAX_MANIFEST_ENTRIES + 1);
+        assert!(matches!(
+            parse_manifest(&many),
+            Err(ManifestError::TooLarge(_))
+        ));
+        for bad in [
+            "no-size\n".to_string(),
+            line("xyz", 1, "p"),
+            line(&h, 1, "bad%escape"),
+            format!("{h} -1 p\n"),
+        ] {
+            assert!(
+                matches!(parse_manifest(&bad), Err(ManifestError::Malformed(_))),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            parse_manifest(&line(&h, MAX_OBJECT_BYTES, "p"))
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn encoded_paths_round_trip_through_the_grammar() {
+        let entries = vec![ManifestEntry {
+            path: "pas/store 0/a%b".into(),
+            size: 7,
+            hash: "0".repeat(64),
+        }];
+        let body = encode_manifest(&entries);
+        assert_eq!(
+            body,
+            format!("{} 7 pas%2Fstore%200%2Fa%25b\n", "0".repeat(64))
+        );
+        assert_eq!(parse_manifest(&body).unwrap(), entries);
     }
 }

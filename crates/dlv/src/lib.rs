@@ -41,8 +41,9 @@ pub mod wfile;
 
 pub use diff::{diff, DiffReport};
 pub use hub::{
-    committed_manifest, pull_into, replace_published, validate_rel_path, validate_repo_name, Hub,
-    HubBackend, ManifestEntry, SearchHit, Source,
+    committed_manifest, encode_manifest, parse_manifest, pct_decode, pct_encode, pull_into,
+    replace_published, validate_rel_path, validate_repo_name, Hub, HubBackend, ManifestEntry,
+    ManifestError, SearchHit, Source, MANIFEST_FILE, MAX_MANIFEST_ENTRIES, MAX_OBJECT_BYTES,
 };
 pub use repo::{
     ArchiveConfig, ArchiveId, ArchiveReport, CommitRequest, Repository, SnapshotInfo, VersionDesc,
@@ -80,6 +81,10 @@ pub enum DlvError {
     /// A hub commit names an object (by hash) that was neither uploaded
     /// nor held by the previous publication.
     MissingObject(String),
+    /// A hub manifest does not describe the repository it commits: a
+    /// path listed twice, missing or extra, or a size its object does
+    /// not have.
+    BadManifest(String),
 }
 
 impl std::fmt::Display for DlvError {
@@ -115,6 +120,7 @@ impl std::fmt::Display for DlvError {
             Self::MissingObject(h) => {
                 write!(f, "object {h} neither uploaded nor already held")
             }
+            Self::BadManifest(m) => write!(f, "manifest refused: {m}"),
         }
     }
 }

@@ -3,12 +3,14 @@
 //! namespaces, and pulls into existing destinations.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
+use mh_dlv::hash::sha256_hex;
 use mh_dlv::{
-    committed_manifest, replace_published, validate_rel_path, validate_repo_name, DlvError, Hub,
-    HubBackend, Repository,
+    committed_manifest, encode_manifest, replace_published, validate_rel_path, validate_repo_name,
+    DlvError, Hub, HubBackend, ManifestEntry, Repository, Source, MANIFEST_FILE,
 };
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -48,6 +50,20 @@ fn sample_repo(dir: &std::path::Path, name: &str, seed: u64) -> Repository {
     req.comment = format!("edge-case model {name}");
     repo.commit(&req).unwrap();
     repo
+}
+
+/// The stored-manifest oracle: the `.manifest` a publish leaves in the
+/// publication is `encode_manifest` of `committed_manifest` computed
+/// over the published directory.
+fn assert_stored_manifest(hub_dir: &Path, name: &str) {
+    let dir = hub_dir.join(name);
+    let stored = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    let oracle = committed_manifest(&Repository::open(&dir).unwrap()).unwrap();
+    assert_eq!(
+        stored,
+        encode_manifest(&oracle),
+        "stored manifest of '{name}'"
+    );
 }
 
 #[test]
@@ -111,6 +127,7 @@ fn publish_excludes_transients_and_symlinks() {
 
     let hub = Hub::open(&hub_dir).unwrap();
     hub.publish(&repo, "clean").unwrap();
+    assert_stored_manifest(&hub_dir, "clean");
     let pub_dir = hub_dir.join("clean");
     assert!(pub_dir.join("catalog.mhs").exists());
     for absent in [
@@ -144,6 +161,7 @@ fn failed_publish_leaves_previous_publication_intact() {
     let repo = sample_repo(&dir, "m", 3);
     let hub = Hub::open(&hub_dir).unwrap();
     hub.publish(&repo, "stable").unwrap();
+    assert_stored_manifest(&hub_dir, "stable");
     let before = committed_manifest(&Repository::open(&hub_dir.join("stable")).unwrap()).unwrap();
 
     // A publish whose build fails halfway must not disturb the previous
@@ -196,6 +214,7 @@ fn concurrent_publish_same_name_is_safe() {
 
     // Whoever won, the published state is one complete, verifiable repo.
     let hub = Hub::open(&hub_dir).unwrap();
+    assert_stored_manifest(&hub_dir, "contested");
     assert_eq!(hub.repositories().unwrap(), vec!["contested"]);
     let pulled = hub
         .pull("contested", &temp_dir("conc-pull").join("c"))
@@ -218,6 +237,7 @@ fn pull_into_existing_destination_fails_cleanly() {
     let repo = sample_repo(&dir, "m", 6);
     let hub = Hub::open(&hub_dir).unwrap();
     hub.publish(&repo, "m").unwrap();
+    assert_stored_manifest(&hub_dir, "m");
 
     let dest_parent = temp_dir("dest-pull");
     let dest = dest_parent.join("clone");
@@ -254,6 +274,8 @@ fn nested_namespaces_publish_search_pull() {
     let hub = Hub::open(&hub_dir).unwrap();
     hub.publish(&repo_a, "team/vision/resnet").unwrap();
     hub.publish(&repo_b, "team/nlp/lstm").unwrap();
+    assert_stored_manifest(&hub_dir, "team/vision/resnet");
+    assert_stored_manifest(&hub_dir, "team/nlp/lstm");
 
     assert_eq!(
         hub.repositories().unwrap(),
@@ -287,10 +309,167 @@ fn hub_backend_trait_object_works_for_local_hub() {
     let repo = sample_repo(&dir, "m", 9);
     let backend: Box<dyn HubBackend> = Box::new(Hub::open(&hub_dir).unwrap());
     backend.publish(&repo, "via-trait").unwrap();
+    assert_stored_manifest(&hub_dir, "via-trait");
     assert_eq!(backend.repositories().unwrap(), vec!["via-trait"]);
     assert_eq!(backend.search("%via%").unwrap().len(), 1);
     let pulled = backend
         .pull("via-trait", &temp_dir("dyn-pull").join("c"))
         .unwrap();
     assert_eq!(pulled.list().len(), 1);
+}
+
+/// Every committed file of `repo`, keyed by hash, as a hubd commit would
+/// receive it.
+fn objects_of(repo: &Repository) -> BTreeMap<String, Vec<u8>> {
+    committed_manifest(repo)
+        .unwrap()
+        .into_iter()
+        .map(|e| (e.hash, std::fs::read(repo.root().join(&e.path)).unwrap()))
+        .collect()
+}
+
+#[test]
+fn commits_whose_manifest_is_not_the_content_are_refused() {
+    let dir = temp_dir("refuse-repo");
+    let hub_dir = temp_dir("refuse-hub");
+    let repo = sample_repo(&dir, "m", 6);
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "guarded").unwrap();
+    assert_stored_manifest(&hub_dir, "guarded");
+    let published = hub_dir.join("guarded");
+    let stored = std::fs::read(published.join(MANIFEST_FILE)).unwrap();
+    let manifest = committed_manifest(&repo).unwrap();
+    let mut objects = objects_of(&repo);
+    let intact = |what: &str| {
+        assert_eq!(
+            std::fs::read(published.join(MANIFEST_FILE)).unwrap(),
+            stored,
+            "{what}: the previous publication changed"
+        );
+        assert_stored_manifest(&hub_dir, "guarded");
+    };
+
+    // A path the catalog does not reference, with a genuine object.
+    let mut extra = manifest.clone();
+    extra.push(ManifestEntry {
+        path: "objects/extra".into(),
+        size: 5,
+        hash: sha256_hex(b"extra"),
+    });
+    objects.insert(sha256_hex(b"extra"), b"extra".to_vec());
+    let err = hub
+        .commit("guarded", &extra, Source::Objects(&objects))
+        .unwrap_err();
+    assert!(matches!(err, DlvError::BadManifest(_)), "extra path: {err}");
+    intact("extra path");
+
+    // The same path twice.
+    let mut twice = manifest.clone();
+    twice.push(manifest.last().unwrap().clone());
+    let err = hub
+        .commit("guarded", &twice, Source::Objects(&objects))
+        .unwrap_err();
+    assert!(
+        matches!(err, DlvError::BadManifest(_)),
+        "duplicate path: {err}"
+    );
+    intact("duplicate path");
+
+    // A snapshot blob the catalog references, left out.
+    let missing: Vec<ManifestEntry> = manifest
+        .iter()
+        .filter(|e| !e.path.starts_with("weights/"))
+        .cloned()
+        .collect();
+    assert!(missing.len() < manifest.len());
+    let err = hub
+        .commit("guarded", &missing, Source::Objects(&objects))
+        .unwrap_err();
+    assert!(
+        matches!(err, DlvError::BadManifest(_)),
+        "missing path: {err}"
+    );
+    intact("missing path");
+
+    // A size its object does not have.
+    let mut resized = manifest.clone();
+    resized.first_mut().unwrap().size += 1;
+    let err = hub
+        .commit("guarded", &resized, Source::Objects(&objects))
+        .unwrap_err();
+    assert!(matches!(err, DlvError::BadManifest(_)), "wrong size: {err}");
+    intact("wrong size");
+
+    // A held object whose bytes rotted on disk: nothing is uploaded, so
+    // every entry is copied from the publication and hashed on the way.
+    let victim = manifest
+        .iter()
+        .find(|e| e.path.starts_with("weights/"))
+        .unwrap();
+    let mut rotten = std::fs::read(published.join(&victim.path)).unwrap();
+    *rotten.last_mut().unwrap() ^= 0xFF;
+    std::fs::write(published.join(&victim.path), &rotten).unwrap();
+    let err = hub
+        .commit("guarded", &manifest, Source::Objects(&BTreeMap::new()))
+        .unwrap_err();
+    assert!(
+        matches!(err, DlvError::Verify(_)),
+        "corrupt held object: {err}"
+    );
+    assert_eq!(
+        std::fs::read(published.join(MANIFEST_FILE)).unwrap(),
+        stored,
+        "corrupt held object: the previous publication changed"
+    );
+    assert_eq!(std::fs::read(published.join(&victim.path)).unwrap(), rotten);
+
+    // The same commit with every object uploaded repairs it.
+    hub.commit("guarded", &manifest, Source::Objects(&objects_of(&repo)))
+        .unwrap();
+    assert_stored_manifest(&hub_dir, "guarded");
+    hub.pull("guarded", &temp_dir("refuse-pull").join("c"))
+        .unwrap();
+}
+
+#[test]
+fn a_manifest_cannot_name_the_stored_manifest() {
+    let dir = temp_dir("shadow-repo");
+    let hub_dir = temp_dir("shadow-hub");
+    let repo = sample_repo(&dir, "m", 7);
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "shadow").unwrap();
+    let mut manifest = committed_manifest(&repo).unwrap();
+    manifest.push(ManifestEntry {
+        path: MANIFEST_FILE.into(),
+        size: 0,
+        hash: sha256_hex(b""),
+    });
+    let mut objects = objects_of(&repo);
+    objects.insert(sha256_hex(b""), Vec::new());
+    let err = hub
+        .commit("shadow", &manifest, Source::Objects(&objects))
+        .unwrap_err();
+    assert!(matches!(err, DlvError::InvalidName(_)), "{err}");
+    assert_stored_manifest(&hub_dir, "shadow");
+}
+
+#[test]
+fn a_corrupt_stored_manifest_is_an_error_not_a_fallback() {
+    let dir = temp_dir("garbled-repo");
+    let hub_dir = temp_dir("garbled-hub");
+    let repo = sample_repo(&dir, "m", 8);
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "garbled").unwrap();
+    std::fs::write(
+        hub_dir.join("garbled").join(MANIFEST_FILE),
+        b"not a manifest\n",
+    )
+    .unwrap();
+    assert!(matches!(hub.manifest("garbled"), Err(DlvError::Hub(_))));
+    assert!(hub
+        .wants("garbled", &committed_manifest(&repo).unwrap())
+        .is_err());
+    assert!(hub
+        .pull("garbled", &temp_dir("garbled-pull").join("c"))
+        .is_err());
 }

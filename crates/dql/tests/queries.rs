@@ -290,70 +290,130 @@ fn evaluate_threshold_keep_and_input_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The fixture, archived, with every non-empty plane file cut short by a
-/// byte: no archived weights can be read back.
-fn archived_with_truncated_planes(tag: &str) -> (Repository, PathBuf) {
+/// Ways to break an archived fixture so that none of its archived
+/// weights can be read back.
+#[derive(Clone, Copy, Debug)]
+enum Corruption {
+    /// Every non-empty plane file cut short by a byte.
+    TruncatedPlanes,
+    /// The archive's store directory removed.
+    StoreRemoved,
+}
+
+/// The fixture, archived, then broken as `how` says.
+fn archived_and_corrupted(tag: &str, how: Corruption) -> (Repository, PathBuf) {
     let (repo, dir) = fixture(tag);
     repo.archive(&ArchiveConfig::default()).unwrap();
-    let mut cut = 0;
-    for store in std::fs::read_dir(dir.join("pas")).unwrap().flatten() {
-        for plane in std::fs::read_dir(store.path()).unwrap().flatten() {
-            let path = plane.path();
-            if path.extension().is_some_and(|e| e == "mhz") {
-                let bytes = std::fs::read(&path).unwrap();
-                if !bytes.is_empty() {
-                    std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-                    cut += 1;
+    let stores: Vec<PathBuf> = std::fs::read_dir(dir.join("pas"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert!(!stores.is_empty(), "archive wrote no store");
+    match how {
+        Corruption::TruncatedPlanes => {
+            let mut cut = 0;
+            for store in &stores {
+                for plane in std::fs::read_dir(store).unwrap().flatten() {
+                    let path = plane.path();
+                    if path.extension().is_some_and(|e| e == "mhz") {
+                        let bytes = std::fs::read(&path).unwrap();
+                        if !bytes.is_empty() {
+                            std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+                            cut += 1;
+                        }
+                    }
                 }
+            }
+            assert!(cut > 0, "archive wrote no planes");
+        }
+        Corruption::StoreRemoved => {
+            for store in &stores {
+                std::fs::remove_dir_all(store).unwrap();
             }
         }
     }
-    assert!(cut > 0, "archive wrote no planes");
     (repo, dir)
 }
 
-fn assert_read_error(result: Result<QueryResult, DqlError>) {
+fn assert_read_error(how: Corruption, result: Result<QueryResult, DqlError>) {
     match result {
         Err(DqlError::Dlv(_)) => {}
-        other => panic!("a truncated plane must surface as a read error: {other:?}"),
+        other => panic!("{how:?} must surface as a read error: {other:?}"),
     }
+}
+
+fn slice_is_an_error(tag: &str, how: Corruption) {
+    let (repo, dir) = archived_and_corrupted(tag, how);
+    let exec = Executor::new(&repo);
+    assert_read_error(
+        how,
+        exec.run(
+            r#"slice m2 from m1 where m1.name like "lenet-origin%"
+               mutate m2.input = m1["conv1"] and m2.output = m1["ip1"]"#,
+        ),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn construct_is_an_error(tag: &str, how: Corruption) {
+    let (repo, dir) = archived_and_corrupted(tag, how);
+    let exec = Executor::new(&repo);
+    assert_read_error(
+        how,
+        exec.run(
+            r#"construct m2 from m1 where m1.name like "lenet-origin%"
+               mutate m1["pool2"].insert = TANH("t1")"#,
+        ),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn evaluate_is_an_error(tag: &str, how: Corruption) {
+    let (repo, dir) = archived_and_corrupted(tag, how);
+    let mut exec = Executor::new(&repo);
+    exec.register_dataset("synth3", dataset());
+    let before = repo.list().len();
+    assert_read_error(
+        how,
+        exec.run(
+            r#"evaluate m from "lenet-origin%"
+               vary config.base_lr in [0.1]
+               keep top(1, m["loss"], 1)"#,
+        ),
+    );
+    assert_eq!(repo.list().len(), before, "nothing trained or committed");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn slice_over_a_truncated_plane_is_an_error() {
-    let (repo, dir) = archived_with_truncated_planes("cut-slice");
-    let exec = Executor::new(&repo);
-    assert_read_error(exec.run(
-        r#"slice m2 from m1 where m1.name like "lenet-origin%"
-           mutate m2.input = m1["conv1"] and m2.output = m1["ip1"]"#,
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+    slice_is_an_error("cut-slice", Corruption::TruncatedPlanes);
 }
 
 #[test]
 fn construct_over_a_truncated_plane_is_an_error() {
-    let (repo, dir) = archived_with_truncated_planes("cut-construct");
-    let exec = Executor::new(&repo);
-    assert_read_error(exec.run(
-        r#"construct m2 from m1 where m1.name like "lenet-origin%"
-           mutate m1["pool2"].insert = TANH("t1")"#,
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+    construct_is_an_error("cut-construct", Corruption::TruncatedPlanes);
 }
 
 #[test]
 fn evaluate_over_a_truncated_plane_is_an_error() {
-    let (repo, dir) = archived_with_truncated_planes("cut-evaluate");
-    let mut exec = Executor::new(&repo);
-    exec.register_dataset("synth3", dataset());
-    let before = repo.list().len();
-    assert_read_error(exec.run(
-        r#"evaluate m from "lenet-origin%"
-           vary config.base_lr in [0.1]
-           keep top(1, m["loss"], 1)"#,
-    ));
-    assert_eq!(repo.list().len(), before, "nothing trained or committed");
-    std::fs::remove_dir_all(&dir).ok();
+    evaluate_is_an_error("cut-evaluate", Corruption::TruncatedPlanes);
+}
+
+#[test]
+fn slice_over_a_removed_store_is_an_error() {
+    slice_is_an_error("gone-slice", Corruption::StoreRemoved);
+}
+
+#[test]
+fn construct_over_a_removed_store_is_an_error() {
+    construct_is_an_error("gone-construct", Corruption::StoreRemoved);
+}
+
+#[test]
+fn evaluate_over_a_removed_store_is_an_error() {
+    evaluate_is_an_error("gone-evaluate", Corruption::StoreRemoved);
 }
 
 #[test]

@@ -17,15 +17,14 @@
 
 use crate::http::{read_body, read_response_head, write_request, ResponseHead};
 use crate::protocol::{
-    encode_manifest, parse_error, parse_hits, parse_manifest, pct_encode, read_object_stream,
-    write_object, write_object_stream_end,
+    parse_error, parse_hits, read_object_stream, write_object, write_object_stream_end,
 };
 use crate::stats::{parse_stats, StatLine};
 use crate::{HubError, URL_PREFIX};
 use mh_dlv::hash::Sha256;
 use mh_dlv::{
-    committed_manifest, pull_into, validate_repo_name, DlvError, HubBackend, ManifestEntry,
-    Repository, SearchHit,
+    committed_manifest, encode_manifest, parse_manifest, pct_encode, pull_into, validate_repo_name,
+    DlvError, HubBackend, ManifestEntry, Repository, SearchHit,
 };
 use std::collections::BTreeSet;
 use std::io::BufReader;
@@ -171,7 +170,7 @@ impl RemoteHub {
     pub fn manifest(&self, name: &str) -> Result<Vec<ManifestEntry>, HubError> {
         validate_repo_name(name).map_err(HubError::Dlv)?;
         let body = self.request("GET", &format!("/manifest/{name}"), b"")?;
-        parse_manifest(&text(&body)?)
+        Ok(parse_manifest(&text(&body)?)?)
     }
 
     /// `GET /stats` — the server's per-endpoint counters.

@@ -5,38 +5,32 @@
 //! Publication and negotiation are `mh_dlv::Hub`'s, shared with the
 //! directory hub; this module keeps only the wire format around them.
 
-use crate::cache::{manifest_key, object_key, ObjectCache};
 use crate::http::Request;
-use crate::protocol::{
-    encode_hits, encode_manifest, object_stream_len, parse_manifest, pct_decode, read_object_stream,
-};
+use crate::protocol::{encode_hits, object_stream_len, read_object_stream};
 use crate::server::{protocol_error_response, Faults, FileSeg, Response, Seg, FILE_CHUNK};
 use crate::stats::Stats;
 use crate::HubError;
 use mh_dlv::hash::{sha256_hex, Sha256};
-use mh_dlv::{validate_repo_name, DlvError, Hub, ManifestEntry, Source};
+use mh_dlv::{
+    encode_manifest, parse_manifest, pct_decode, validate_repo_name, DlvError, Hub, ManifestEntry,
+    Source,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Seek};
 use std::path::Path;
-use std::sync::Arc;
 
 fn error_response(e: &DlvError) -> Response {
     let (status, code) = match e {
         DlvError::InvalidName(_) => (422, "invalid-name"),
         DlvError::NoSuchVersion(_) => (404, "not-found"),
         DlvError::AlreadyExists(_) | DlvError::MissingObject(_) => (409, "conflict"),
+        DlvError::BadManifest(_) => (422, "bad-manifest"),
         _ => (500, "internal"),
     };
     Response::error(status, code, &e.to_string())
 }
 
-pub(crate) fn route(
-    hub: &Hub,
-    req: &Request,
-    stats: &Stats,
-    faults: &Faults,
-    cache: &ObjectCache,
-) -> Response {
+pub(crate) fn route(hub: &Hub, req: &Request, stats: &Stats, faults: &Faults) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/repos") => match hub.repositories() {
             Ok(names) => lines_response(names),
@@ -58,7 +52,10 @@ pub(crate) fn route(
         }
         ("GET", path) if path.starts_with("/manifest/") => {
             let name = path.strip_prefix("/manifest/").unwrap_or_default();
-            respond_manifest(hub, name, cache)
+            match hub.manifest(name) {
+                Ok(manifest) => Response::full(200, encode_manifest(&manifest).into_bytes()),
+                Err(e) => error_response(&e),
+            }
         }
         ("POST", path) if path.starts_with("/objects/") => {
             let name = path.strip_prefix("/objects/").unwrap_or_default();
@@ -66,7 +63,7 @@ pub(crate) fn route(
                 .unwrap_or("")
                 .lines()
                 .collect();
-            respond_objects(hub, name, &haves, faults, cache)
+            respond_objects(hub, name, &haves, faults)
         }
         ("POST", path) if path.starts_with("/publish/") => {
             let name = path.strip_prefix("/publish/").unwrap_or_default();
@@ -75,7 +72,7 @@ pub(crate) fn route(
             }
             match query_param(req, "phase").unwrap_or_default() {
                 "negotiate" => handle_negotiate(hub, name, &req.body),
-                "commit" => handle_commit(hub, name, &req.body, cache),
+                "commit" => handle_commit(hub, name, &req.body),
                 other => Response::error(400, "bad-request", &format!("unknown phase '{other}'")),
             }
         }
@@ -97,46 +94,20 @@ fn lines_response<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> R
     Response::full(200, body.into_bytes())
 }
 
-/// `GET /manifest/<name>`: encoded manifests for hot repos serve from
-/// the cache; publishes invalidate the prefix.
-fn respond_manifest(hub: &Hub, name: &str, cache: &ObjectCache) -> Response {
-    // Only validated names are ever cached (see below).
-    if let Some(cached) = cache.get(&manifest_key(name)) {
-        return Response::new(200, cached.len() as u64, vec![Seg::Shared(cached)], false);
-    }
-    // Snapshot the invalidation generation *before* touching disk: if a
-    // publish commits (rename + invalidate) while we read the old
-    // manifest, the guarded put below is refused and the pre-publish
-    // bytes are never cached.
-    let gen = cache.generation();
-    match hub.manifest(name) {
-        Ok(manifest) => {
-            let body = Arc::new(encode_manifest(&manifest).into_bytes());
-            cache.put_if_current(&manifest_key(name), Arc::clone(&body), gen);
-            Response::new(200, body.len() as u64, vec![Seg::Shared(body)], false)
-        }
-        Err(e) => error_response(&e),
-    }
-}
-
-/// Per-response budget for object payloads loaded privately into memory
-/// on a cache miss. Misses up to this many bytes are read whole,
-/// verified, and admitted to the cache (zero-copy `Shared` segments);
-/// past it — and for any object too large for the cache to ever admit —
+/// Per-response budget for object payloads loaded into memory. Objects
+/// up to this many bytes in total are read whole and verified; past it
 /// the payload is staged as a lazy [`FileSeg`] that streams from disk in
-/// bounded chunks on write readiness. Cache hits are exempt: they
-/// reference memory the cache already accounts for, shared across every
-/// connection serving the same object. Net bound per connection: this
+/// bounded chunks on write readiness. Net bound per connection: this
 /// budget plus one [`FILE_CHUNK`] scratch buffer, no matter how large
 /// the repo — a never-reading client cannot hold multi-GiB staged
 /// responses for the idle-timeout window.
 const RESPONSE_LOAD_BUDGET: u64 = 8 << 20;
 
-/// One staged object payload: resident bytes (cache hit or a
-/// budget-admitted load) or an open file streamed lazily at write time.
+/// One staged object payload: bytes loaded within the budget, or an
+/// open file streamed lazily at write time.
 #[derive(Debug)]
 enum Payload {
-    Mem(Arc<Vec<u8>>),
+    Mem(Vec<u8>),
     File { file: std::fs::File, len: u64 },
 }
 
@@ -150,44 +121,33 @@ impl Payload {
 
     fn into_seg(self) -> Seg {
         match self {
-            Self::Mem(d) => Seg::Shared(d),
+            Self::Mem(d) => Seg::Owned(d),
             Self::File { file, len } => Seg::File(FileSeg::new(file, len)),
         }
     }
 }
 
 /// Stage one object's payload, feeding its bytes (in stream order) into
-/// the whole-transfer checksum. Cache hit hands back the shared bytes;
-/// a small in-budget miss reads, verifies, and admits it; anything else
-/// is hash-verified in a streaming pass and staged as an open file
-/// handle — the payload is never fully resident.
+/// the whole-transfer checksum. An object within the load budget is read
+/// and verified; anything else is hash-verified in a streaming pass and
+/// staged as an open file handle — the payload is never fully resident.
 fn stage_object(
     dir: &Path,
     entry: &ManifestEntry,
-    cache: &ObjectCache,
     loaded: &mut u64,
     transfer: &mut Sha256,
 ) -> Result<Payload, ()> {
-    let key = object_key(&entry.hash);
-    if let Some(hit) = cache.get(&key) {
-        transfer.update(&hit);
-        return Ok(Payload::Mem(hit));
-    }
     // Raced with a concurrent republish or the content is corrupt: both
     // surface as a load failure and the response becomes an error (the
     // client retries against the new content).
     let path = dir.join(&entry.path);
-    let in_budget = entry.size <= cache.admissible_max() as u64
-        && loaded.saturating_add(entry.size) <= RESPONSE_LOAD_BUDGET;
-    if in_budget {
+    if loaded.saturating_add(entry.size) <= RESPONSE_LOAD_BUDGET {
         let data = std::fs::read(&path).map_err(|_| ())?;
         if sha256_hex(&data) != entry.hash {
             return Err(());
         }
         transfer.update(&data);
         *loaded = loaded.saturating_add(data.len() as u64);
-        let data = Arc::new(data);
-        cache.put(&key, Arc::clone(&data));
         return Ok(Payload::Mem(data));
     }
     // Streaming verify: hash the file in bounded chunks, then rewind for
@@ -219,16 +179,9 @@ fn stage_object(
 
 /// Stage the objects of `name` the client does not yet have. The
 /// response body is length-prefixed per object with a trailing
-/// whole-transfer checksum; payload segments are zero-copy references
-/// into the cache or lazily-streamed file handles (see
-/// [`RESPONSE_LOAD_BUDGET`]).
-fn respond_objects(
-    hub: &Hub,
-    name: &str,
-    haves: &BTreeSet<&str>,
-    faults: &Faults,
-    cache: &ObjectCache,
-) -> Response {
+/// whole-transfer checksum; payload segments are verified in-memory
+/// loads or lazily-streamed file handles (see [`RESPONSE_LOAD_BUDGET`]).
+fn respond_objects(hub: &Hub, name: &str, haves: &BTreeSet<&str>, faults: &Faults) -> Response {
     let manifest = match hub.manifest(name) {
         Ok(m) => m,
         Err(e) => return error_response(&e),
@@ -247,7 +200,7 @@ fn respond_objects(
     let mut transfer = Sha256::new();
     let mut payloads: Vec<(&ManifestEntry, Payload)> = Vec::with_capacity(missing.len());
     for entry in &missing {
-        match stage_object(&dir, entry, cache, &mut loaded, &mut transfer) {
+        match stage_object(&dir, entry, &mut loaded, &mut transfer) {
             Ok(payload) => payloads.push((entry, payload)),
             Err(()) => {
                 return Response::error(
@@ -272,8 +225,9 @@ fn respond_objects(
             let len = payload.len();
             let header = format!("obj {} {len}\n", entry.hash);
             let half = match payload {
-                Payload::Mem(data) => {
-                    Seg::Owned(data.get(..data.len() / 2).unwrap_or_default().to_vec())
+                Payload::Mem(mut data) => {
+                    data.truncate(data.len() / 2);
+                    Seg::Owned(data)
                 }
                 Payload::File { file, .. } => Seg::File(FileSeg::new(file, len / 2)),
             };
@@ -304,7 +258,7 @@ fn handle_negotiate(hub: &Hub, name: &str, body: &[u8]) -> Response {
     };
     let manifest = match parse_manifest(body) {
         Ok(m) => m,
-        Err(e) => return protocol_error_response(&e),
+        Err(e) => return protocol_error_response(&e.into()),
     };
     match hub.wants(name, &manifest) {
         Ok(wants) => lines_response(wants),
@@ -313,11 +267,10 @@ fn handle_negotiate(hub: &Hub, name: &str, body: &[u8]) -> Response {
 }
 
 /// Publish commit: body = `<manifest-byte-length>\n` + manifest + object
-/// stream of the negotiated objects. `Hub::commit` assembles the new
-/// publication from the received objects plus objects the previous
-/// publication of the same name already holds; a commit that lands
-/// invalidates the repo's cached manifest.
-fn handle_commit(hub: &Hub, name: &str, body: &[u8], cache: &ObjectCache) -> Response {
+/// stream of the negotiated objects. `Hub::commit` checks the manifest
+/// and assembles the new publication from the received objects plus
+/// objects the previous publication of the same name already holds.
+fn handle_commit(hub: &Hub, name: &str, body: &[u8]) -> Response {
     let bad = |msg: &str| Response::error(400, "bad-request", msg);
     let Some(nl) = body.iter().position(|&b| b == b'\n') else {
         return bad("missing manifest length prefix");
@@ -341,7 +294,7 @@ fn handle_commit(hub: &Hub, name: &str, body: &[u8], cache: &ObjectCache) -> Res
     };
     let manifest = match parse_manifest(manifest_str) {
         Ok(m) => m,
-        Err(e) => return protocol_error_response(&e),
+        Err(e) => return protocol_error_response(&e.into()),
     };
     let mut received: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     let mut reader = std::io::BufReader::new(rest.get(manifest_len..).unwrap_or_default());
@@ -355,12 +308,7 @@ fn handle_commit(hub: &Hub, name: &str, body: &[u8], cache: &ObjectCache) -> Res
         return bad(&format!("bad object stream: {e}"));
     }
     match hub.commit(name, &manifest, Source::Objects(&received)) {
-        Ok(()) => {
-            // Republish replaces content: the cached manifest for this
-            // name is stale the instant the rename lands.
-            cache.invalidate_prefix(&manifest_key(name));
-            Response::full(200, b"ok\n".to_vec())
-        }
+        Ok(()) => Response::full(200, b"ok\n".to_vec()),
         Err(e) => error_response(&e),
     }
 }

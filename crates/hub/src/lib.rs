@@ -26,7 +26,6 @@
 //! core count), and exports per-endpoint request/byte/error counters at
 //! `GET /stats`.
 
-pub mod cache;
 pub mod client;
 mod handlers;
 pub mod http;
@@ -38,7 +37,7 @@ pub use client::RemoteHub;
 pub use server::{Faults, HubServer};
 pub use stats::{Endpoint, StatLine, Stats};
 
-use mh_dlv::DlvError;
+use mh_dlv::{DlvError, ManifestError};
 
 /// Scheme prefix that marks a hub spec as remote.
 pub const URL_PREFIX: &str = "http://";
@@ -113,6 +112,15 @@ impl From<std::io::Error> for HubError {
             Self::ConnectionDropped(e.to_string())
         } else {
             Self::Io(e)
+        }
+    }
+}
+
+impl From<ManifestError> for HubError {
+    fn from(e: ManifestError) -> Self {
+        match e {
+            ManifestError::TooLarge(m) => Self::TooLarge(m),
+            ManifestError::Malformed(m) => Self::Protocol(m),
         }
     }
 }

@@ -1,6 +1,7 @@
-//! Wire codecs for the hub protocol: percent-encoding, manifest and
-//! search-hit line formats, error bodies, and the length-prefixed object
-//! stream with its trailing whole-transfer checksum.
+//! Wire codecs for the hub protocol: search-hit lines, error bodies, and
+//! the length-prefixed object stream with its trailing whole-transfer
+//! checksum. The manifest grammar and percent-encoding belong to
+//! `mh_dlv::hub`, which also stores each publication's manifest in it.
 //!
 //! ## Object stream
 //!
@@ -17,110 +18,13 @@
 
 use crate::HubError;
 use mh_dlv::hash::{sha256_hex, Sha256};
-use mh_dlv::{ManifestEntry, SearchHit};
+use mh_dlv::{pct_decode, pct_encode, SearchHit, MAX_OBJECT_BYTES};
 use std::io::{BufRead, Write};
-
-/// Hard cap on a single object's size (prevents a malicious length
-/// prefix from ballooning receiver memory).
-pub const MAX_OBJECT_BYTES: u64 = 1 << 30;
-
-/// Hard cap on manifest entry count: a manifest declaring more lines
-/// than this is rejected before the entries are materialized.
-pub const MAX_MANIFEST_ENTRIES: usize = 1 << 16;
 
 /// Hard cap on one protocol line (object headers, manifest lines,
 /// request lines all fit in well under this); a peer streaming bytes
 /// with no newline is cut off instead of growing the line buffer.
 pub const MAX_LINE_BYTES: usize = 8 << 10;
-
-/// Percent-encode everything outside `[A-Za-z0-9._~-]`.
-pub fn pct_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02X}"));
-        }
-    }
-    out
-}
-
-/// Decode percent-encoding; rejects malformed escapes and invalid UTF-8.
-/// Total on arbitrary input (query strings arrive straight off the wire).
-// mh-audit: no_panic_zone
-pub fn pct_decode(s: &str) -> Result<String, HubError> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while let Some(&b) = bytes.get(i) {
-        if b == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-                .ok_or_else(|| HubError::Protocol(format!("bad percent escape in '{s}'")))?;
-            out.push(hex);
-            i += 3;
-        } else {
-            out.push(b);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| HubError::Protocol(format!("invalid utf-8 in '{s}'")))
-}
-
-/// One manifest entry per line: `<hash> <size> <pct-encoded-path>`.
-pub fn encode_manifest(entries: &[ManifestEntry]) -> String {
-    let mut out = String::new();
-    for e in entries {
-        out.push_str(&format!("{} {} {}\n", e.hash, e.size, pct_encode(&e.path)));
-    }
-    out
-}
-
-/// Parse a manifest body, enforcing the declared-size caps: at most
-/// [`MAX_MANIFEST_ENTRIES`] entries, each declaring at most
-/// [`MAX_OBJECT_BYTES`]. Oversized declarations are [`HubError::TooLarge`]
-/// (mapped to HTTP 422 by the server) and rejected before the entry
-/// vector grows — a handful of hostile header bytes cannot reserve
-/// gigabytes.
-// mh-audit: no_panic_zone
-pub fn parse_manifest(body: &str) -> Result<Vec<ManifestEntry>, HubError> {
-    let mut out = Vec::new();
-    for line in body.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if out.len() >= MAX_MANIFEST_ENTRIES {
-            return Err(HubError::TooLarge(format!(
-                "manifest exceeds {MAX_MANIFEST_ENTRIES} entries"
-            )));
-        }
-        let mut parts = line.splitn(3, ' ');
-        let (hash, size, path) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(h), Some(s), Some(p)) => (h, s, p),
-            _ => return Err(HubError::Protocol(format!("bad manifest line '{line}'"))),
-        };
-        if hash.len() != 64 || !hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(HubError::Protocol(format!("bad manifest hash '{hash}'")));
-        }
-        let size: u64 = size
-            .parse()
-            .map_err(|_| HubError::Protocol(format!("bad manifest size '{size}'")))?;
-        if size > MAX_OBJECT_BYTES {
-            return Err(HubError::TooLarge(format!(
-                "manifest entry declares {size} bytes (cap {MAX_OBJECT_BYTES})"
-            )));
-        }
-        out.push(ManifestEntry {
-            hash: hash.to_string(),
-            size,
-            path: pct_decode(path)?,
-        });
-    }
-    Ok(out)
-}
 
 /// One search hit per line, fields percent-encoded and space-separated:
 /// `<repo> <version> <architecture> <comment>`.
@@ -332,6 +236,7 @@ pub fn read_line<R: BufRead>(r: &mut R) -> Result<String, HubError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mh_dlv::{encode_manifest, parse_manifest, ManifestEntry};
     use std::io::BufReader;
 
     #[test]

@@ -24,11 +24,10 @@
 //! reading one request, or waiting for a handler slot, which a
 //! byte-at-a-time slowloris cannot reset by trickling traffic). Every
 //! socket read is bounded by `min(idle timeout, time left before the
-//! deadline)`, every socket write by the idle timeout. Hot objects and
-//! manifest responses serve from the byte-budgeted
-//! [`crate::cache::ObjectCache`] as zero-copy `Arc` segments; payloads
-//! past the per-response `RESPONSE_LOAD_BUDGET` (or too large for the
-//! cache to ever admit) stream from disk in [`FILE_CHUNK`] pieces, so
+//! deadline)`, every socket write by the idle timeout. `/manifest`
+//! serves the manifest each publication stores; `/objects` payloads
+//! within the per-response `RESPONSE_LOAD_BUDGET` are read and verified
+//! into memory, the rest stream from disk in [`FILE_CHUNK`] pieces, so
 //! per-connection staged memory stays bounded no matter how large the
 //! repo.
 //!
@@ -51,10 +50,9 @@
 //!
 //! Repository names are validated against path traversal before any
 //! filesystem access; publishes go through `mh_dlv::Hub::commit` (atomic
-//! replace-by-rename, shared with the directory hub) and invalidate the
-//! repo's cached manifest.
+//! replace-by-rename, shared with the directory hub), which checks and
+//! stores the publication's manifest.
 
-use crate::cache::ObjectCache;
 use crate::handlers;
 use crate::http::{parse_request_head, response_head_bytes, Request, MAX_BODY_BYTES};
 use crate::protocol::encode_error;
@@ -81,8 +79,6 @@ pub struct Config {
     /// Maximum simultaneously open connections; beyond this, accepts are
     /// answered `503` + `Retry-After`.
     pub max_conns: usize,
-    /// Byte budget for the hot-object/manifest cache (0 disables it).
-    pub cache_bytes: usize,
     /// Reap a connection making no read/write progress for this long.
     pub idle_timeout: Duration,
     /// Reap a connection stuck in one state this long regardless of
@@ -106,7 +102,6 @@ impl Default for Config {
         Self {
             jobs: None,
             max_conns: 1024,
-            cache_bytes: 64 << 20,
             idle_timeout: Duration::from_secs(10),
             state_deadline: Duration::from_secs(30),
             body_budget_bytes: 256 << 20,
@@ -199,7 +194,6 @@ struct Shared {
     config: Config,
     stats: Arc<Stats>,
     faults: Arc<Faults>,
-    cache: ObjectCache,
     stop: AtomicBool,
     admission: Mutex<Admission>,
     /// Handler slots in use; at most `jobs`.
@@ -340,7 +334,6 @@ impl HubServer {
         let stats = Arc::new(Stats::new());
         let shared = Arc::new(Shared {
             hub,
-            cache: ObjectCache::new(config.cache_bytes, stats.cache_metrics()),
             stats,
             faults: Arc::new(Faults::default()),
             stop: AtomicBool::new(false),
@@ -515,13 +508,11 @@ impl FileSeg {
     }
 }
 
-/// One write-buffer segment: owned bytes (heads, error bodies, framing
-/// lines), a zero-copy reference into the object cache, or a lazily
-/// chunk-streamed file.
+/// One write-buffer segment: owned bytes (heads, bodies, framing lines,
+/// loaded objects) or a lazily chunk-streamed file.
 #[derive(Debug)]
 pub(crate) enum Seg {
     Owned(Vec<u8>),
-    Shared(Arc<Vec<u8>>),
     File(FileSeg),
 }
 
@@ -531,7 +522,6 @@ impl Seg {
     fn as_slice(&self) -> &[u8] {
         match self {
             Self::Owned(v) => v,
-            Self::Shared(v) => v,
             Self::File(f) => &f.buf,
         }
     }
@@ -540,7 +530,6 @@ impl Seg {
     fn len(&self) -> u64 {
         match self {
             Self::Owned(v) => v.len() as u64,
-            Self::Shared(v) => v.len() as u64,
             Self::File(f) => f.len,
         }
     }
@@ -881,13 +870,7 @@ fn process(shared: &Shared, req: &Request, ep: Endpoint) -> Response {
             sp.add_bytes_in(req.body.len() as u64);
         }
         let start = sync::now();
-        let resp = handlers::route(
-            &shared.hub,
-            req,
-            &shared.stats,
-            &shared.faults,
-            &shared.cache,
-        );
+        let resp = handlers::route(&shared.hub, req, &shared.stats, &shared.faults);
         let dur_ms = start.elapsed().as_secs_f64() * 1_000.0;
         shared.stats.record_duration(ep, dur_ms);
         let error = resp.status >= 400 || resp.truncated;

@@ -7,7 +7,6 @@
 //! The registry is **per server instance**, not global, so several
 //! `HubServer`s in one test process keep independent counts.
 
-use crate::cache::CacheMetrics;
 use mh_obs::{Counter, Gauge, Registry};
 
 /// The hub endpoints tracked individually.
@@ -52,8 +51,8 @@ impl Endpoint {
     }
 }
 
-/// Request-duration buckets (milliseconds): sub-ms cache hits through
-/// multi-second object streams.
+/// Request-duration buckets (milliseconds): sub-ms manifest reads
+/// through multi-second object streams.
 pub const DURATION_MS_BUCKETS: &[f64] =
     &[0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1_000.0, 5_000.0];
 
@@ -97,12 +96,11 @@ impl Stats {
             let _ =
                 registry.histogram_labeled("hub_request_duration_ms", labels, DURATION_MS_BUCKETS);
         }
-        // Connection + cache series, present (at zero) from the first scrape.
+        // Connection series, present (at zero) from the first scrape.
         let _ = registry.gauge("hub_connections_open");
         let _ = registry.gauge("hub_connections_peak");
         let _ = registry.counter("hub_connections_rejected_total");
         let _ = registry.counter("hub_body_rejected_total");
-        let _ = CacheMetrics::for_registry(&registry);
         Self { registry }
     }
 
@@ -130,11 +128,6 @@ impl Stats {
     /// request-body budget (`--body-budget`).
     pub fn body_rejected(&self) -> &'static Counter {
         self.registry.counter("hub_body_rejected_total")
-    }
-
-    /// Handles for the hot-object cache series on this server's registry.
-    pub fn cache_metrics(&self) -> CacheMetrics {
-        CacheMetrics::for_registry(&self.registry)
     }
 
     /// Record one handled request: request-body bytes in, response-body

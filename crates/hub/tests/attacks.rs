@@ -5,7 +5,8 @@
 //! After every attack the same server must answer a well-formed request.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
-use mh_hub::protocol::{MAX_LINE_BYTES, MAX_MANIFEST_ENTRIES, MAX_OBJECT_BYTES};
+use mh_dlv::{MAX_MANIFEST_ENTRIES, MAX_OBJECT_BYTES};
+use mh_hub::protocol::MAX_LINE_BYTES;
 use mh_hub::{HubServer, RemoteHub};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};

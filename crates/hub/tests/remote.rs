@@ -4,10 +4,15 @@
 //! by client retry/backoff — or surface as typed errors, never a hang.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
-use mh_dlv::{committed_manifest, DlvError, Hub, HubBackend, Repository};
+use mh_dlv::{
+    committed_manifest, encode_manifest, ArchiveConfig, DlvError, Hub, HubBackend, Repository,
+    MANIFEST_FILE,
+};
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
 use mh_hub::{HubError, HubServer, RemoteHub};
-use std::path::PathBuf;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -69,6 +74,48 @@ fn endpoint_bytes_out(client: &RemoteHub, endpoint: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// One raw request to hubd: (status, response body).
+fn raw_request(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let head = format!(
+        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    s.write_all(head.as_bytes()).unwrap();
+    s.write_all(body).unwrap();
+    let mut out = Vec::new();
+    s.read_to_end(&mut out).unwrap();
+    let split = out.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+    let status = std::str::from_utf8(&out[9..12]).unwrap().parse().unwrap();
+    (status, out[split + 4..].to_vec())
+}
+
+/// The stored-manifest oracle: the `.manifest` a publish leaves in the
+/// publication is `encode_manifest` of `committed_manifest` computed
+/// over the published directory, and hubd's `/manifest` body (when a
+/// server is given) is exactly those bytes.
+fn assert_stored_manifest(root: &Path, name: &str, server: Option<&HubServer>) {
+    let dir = root.join(name);
+    let stored = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+    let oracle = committed_manifest(&Repository::open(&dir).unwrap()).unwrap();
+    assert_eq!(
+        stored,
+        encode_manifest(&oracle).into_bytes(),
+        "stored manifest of '{name}'"
+    );
+    if let Some(server) = server {
+        let (status, body) = raw_request(
+            server.local_addr(),
+            "GET",
+            &format!("/manifest/{name}"),
+            b"",
+        );
+        assert_eq!(status, 200);
+        assert_eq!(body, stored, "/manifest body of '{name}'");
+    }
+}
+
 #[test]
 fn publish_search_pull_roundtrip_over_socket() {
     let dir = temp_dir("rt-repo");
@@ -76,6 +123,7 @@ fn publish_search_pull_roundtrip_over_socket() {
     let (server, client) = start_server("rt");
 
     client.publish_repo(&repo, "team/vision").unwrap();
+    assert_stored_manifest(server.root(), "team/vision", Some(&server));
     assert_eq!(client.repositories().unwrap(), vec!["team/vision"]);
     let hits = client.search("%lenet%").unwrap();
     assert_eq!(hits.len(), 1);
@@ -111,6 +159,8 @@ fn directory_hub_and_hubd_publish_and_pull_the_same_content() {
     let (server, client) = start_server("both");
     local.publish(&repo, "team/both").unwrap();
     client.publish_repo(&repo, "team/both").unwrap();
+    assert_stored_manifest(&local_root, "team/both", None);
+    assert_stored_manifest(server.root(), "team/both", Some(&server));
 
     let pulls = temp_dir("both-pull");
     let from_local = local.pull("team/both", &pulls.join("local")).unwrap();
@@ -141,6 +191,7 @@ fn second_pull_with_cache_transfers_near_zero_object_bytes() {
     let repo = sample_repo(&dir, "lenet-inc", 22);
     let (server, client) = start_server("inc");
     client.publish_repo(&repo, "inc").unwrap();
+    assert_stored_manifest(server.root(), "inc", Some(&server));
 
     let cache = temp_dir("inc-cache");
     let cached_client = client.clone().with_cache(&cache);
@@ -180,6 +231,7 @@ fn second_pull_with_cache_transfers_near_zero_object_bytes() {
         .map(|l| l.bytes_in)
         .unwrap_or(0);
     client.publish_repo(&repo, "inc").unwrap();
+    assert_stored_manifest(server.root(), "inc", Some(&server));
     let publish_in_after = client
         .stats()
         .unwrap()
@@ -202,6 +254,7 @@ fn injected_connection_drops_are_recovered_by_retry() {
     let repo = sample_repo(&dir, "lenet-fault", 23);
     let (server, client) = start_server("fault");
     client.publish_repo(&repo, "faulty").unwrap();
+    assert_stored_manifest(server.root(), "faulty", Some(&server));
 
     // Drop the first two /objects responses mid-object: the pull must
     // retry, resume from what already arrived, and still verify.
@@ -247,6 +300,7 @@ fn exhausted_retries_surface_a_typed_error_not_a_hang() {
     let repo = sample_repo(&dir, "lenet-dead", 24);
     let (server, client) = start_server("dead");
     client.publish_repo(&repo, "doomed").unwrap();
+    assert_stored_manifest(server.root(), "doomed", Some(&server));
 
     // More injected faults than the client has retries (and no object
     // ever completes, so progress never resets the budget: every drop
@@ -351,6 +405,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     let repo = sample_repo(&dir, "lenet-prom", 33);
     let (server, client) = start_server("prom");
     client.publish_repo(&repo, "prom").unwrap();
+    assert_stored_manifest(server.root(), "prom", Some(&server));
 
     let pull_dir = temp_dir("prom-pull");
     client.pull("prom", &pull_dir.join("prom")).unwrap();
@@ -428,6 +483,7 @@ fn flight_recorder_captures_requests_with_tracing_off() {
     let repo = sample_repo(&dir, "lenet-fr", 44);
     let (server, client) = start_server("fr");
     client.publish_repo(&repo, "fr").unwrap();
+    assert_stored_manifest(server.root(), "fr", Some(&server));
     client.pull("fr", &temp_dir("fr-pull").join("fr")).unwrap();
 
     let dump = client.flightrec_text().unwrap();
@@ -452,5 +508,79 @@ fn flight_recorder_captures_requests_with_tracing_off() {
             .any(|l| l.contains("request error") && l.contains("manifest")),
         "expected a request-error log event, got:\n{dump}"
     );
+    server.stop();
+}
+
+#[test]
+fn publications_without_a_stored_manifest_are_served_the_same() {
+    let dir = temp_dir("legacy-repo");
+    let repo = sample_repo(&dir, "lenet-legacy", 23);
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let other = sample_repo(&temp_dir("legacy-other"), "lenet-other", 24);
+    let (server, client) = start_server("legacy");
+    client.publish_repo(&repo, "old/style").unwrap();
+    assert_stored_manifest(server.root(), "old/style", Some(&server));
+    let hub = Hub::open(server.root()).unwrap();
+    let candidates = [
+        committed_manifest(&repo).unwrap(),
+        committed_manifest(&other).unwrap(),
+    ];
+    let observe = |tag: &str| {
+        let (status, body) = raw_request(server.local_addr(), "GET", "/manifest/old/style", b"");
+        assert_eq!(status, 200);
+        let wants: Vec<_> = candidates
+            .iter()
+            .map(|m| hub.wants("old/style", m).unwrap())
+            .collect();
+        let pulls = temp_dir(&format!("legacy-pull-{tag}"));
+        let remote = client
+            .pull_repo("old/style", &pulls.join("remote"))
+            .unwrap();
+        let local = hub.pull("old/style", &pulls.join("local")).unwrap();
+        let pulled = [
+            committed_manifest(&remote).unwrap(),
+            committed_manifest(&local).unwrap(),
+        ];
+        (body, wants, pulled)
+    };
+    let stored = observe("stored");
+    assert!(stored.1[0].is_empty() && !stored.1[1].is_empty());
+    assert_eq!(stored.2[0], candidates[0]);
+
+    // A publication made before manifests were stored has none.
+    std::fs::remove_file(server.root().join("old/style").join(MANIFEST_FILE)).unwrap();
+    assert_eq!(observe("legacy"), stored);
+    server.stop();
+}
+
+#[test]
+fn commit_with_a_bad_manifest_is_422_and_keeps_the_publication() {
+    let dir = temp_dir("bad-repo");
+    let repo = sample_repo(&dir, "lenet-bad", 26);
+    let (server, client) = start_server("bad");
+    client.publish_repo(&repo, "kept").unwrap();
+    let stored = std::fs::read(server.root().join("kept").join(MANIFEST_FILE)).unwrap();
+
+    // Every object is held, so the commit carries none: the manifest
+    // with one path listed twice, then an empty object stream.
+    let mut twice = committed_manifest(&repo).unwrap();
+    twice.push(twice[0].clone());
+    let manifest = encode_manifest(&twice);
+    let mut body = format!("{}\n{manifest}", manifest.len()).into_bytes();
+    body.extend_from_slice(format!("end {}\n", mh_dlv::hash::sha256_hex(b"")).as_bytes());
+    let (status, text) = raw_request(
+        server.local_addr(),
+        "POST",
+        "/publish/kept?phase=commit",
+        &body,
+    );
+    let text = String::from_utf8_lossy(&text);
+    assert_eq!(status, 422, "{text}");
+    assert!(text.contains("code=bad-manifest"), "{text}");
+    assert_eq!(
+        std::fs::read(server.root().join("kept").join(MANIFEST_FILE)).unwrap(),
+        stored
+    );
+    assert_stored_manifest(server.root(), "kept", Some(&server));
     server.stop();
 }

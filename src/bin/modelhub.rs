@@ -5,7 +5,7 @@
 //! modelhub check <query> [--repo <dir>]    # DQL semantic analysis (no execution)
 //! modelhub gen-sample <dir>                # create a small trained sample repo
 //! modelhub archive <dir> [--alpha F] [--jobs N]  # archive staged snapshots into PAS
-//! modelhub hubd <root> [--addr H:P] [--jobs N] [--max-conns N] [--cache-bytes N] [--body-budget N]  # serve a hosted hub over TCP
+//! modelhub hubd <root> [--addr H:P] [--jobs N] [--max-conns N] [--body-budget N]  # serve a hosted hub over TCP
 //! modelhub audit [root] [--report FILE] [--max-waivers N]  # panic/alloc static audit
 //! modelhub repro <experiment> [--quick] [--jobs N]  # run an mh-bench experiment
 //! modelhub prof <subcommand...>            # run a subcommand, print a span profile
@@ -43,9 +43,7 @@
 //! anywhere a hub directory is accepted. Default address: 127.0.0.1:7797.
 //! Each connection is served on a blocking thread of its own, up to
 //! `--max-conns` at once (default 1024; over-cap connects get 503 +
-//! Retry-After); at most `--jobs` requests are routed at once, and hot
-//! objects and manifests serve from an in-memory LRU capped at
-//! `--cache-bytes` (default 64 MiB; 0 disables).
+//! Retry-After); at most `--jobs` requests are routed at once.
 //! `--body-budget` (bytes, default 256 MiB) caps the aggregate declared
 //! request-body bytes buffered across all connections; requests past it
 //! are answered 503 + Retry-After (one body is always admitted when
@@ -76,7 +74,7 @@ fn usage() -> ExitCode {
          modelhub check \"<DQL>\" [--repo <dir>]\n       \
          modelhub gen-sample <dir>\n       \
          modelhub archive <dir> [--alpha F] [--jobs N]\n       \
-         modelhub hubd <root> [--addr HOST:PORT] [--jobs N] [--max-conns N] [--cache-bytes N] [--body-budget N] [--slow-ms N]\n       \
+         modelhub hubd <root> [--addr HOST:PORT] [--jobs N] [--max-conns N] [--body-budget N] [--slow-ms N]\n       \
          modelhub audit [root] [--report FILE] [--max-waivers N]\n       \
          modelhub repro <experiment|all> [--quick] [--jobs N]\n       \
          modelhub prof <subcommand...> | prof --from-dump <spans.jsonl>\n       \
@@ -445,9 +443,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     return Err("--max-conns must be at least 1".into());
                 }
                 config.max_conns = max_conns;
-            }
-            if let Some(cache_bytes) = flag_value::<usize>(args, "--cache-bytes")? {
-                config.cache_bytes = cache_bytes;
             }
             if let Some(body_budget) = flag_value::<u64>(args, "--body-budget")? {
                 config.body_budget_bytes = body_budget;
