@@ -18,8 +18,8 @@
 //! client uploaded, [`Hub::publish`] with a local repository. The
 //! publication stores its checked manifest ([`MANIFEST_FILE`]), which
 //! [`Hub::manifest`] reads back for negotiation, pulls and `hubd`.
-//! [`pull_into`] stages a pull next to its destination, renames it into
-//! place and fsck's it before the pull reports success; [`Hub::pull`]
+//! [`pull_into`] stages a pull next to its destination, fsck's it and
+//! only then renames it into place; [`Hub::pull`]
 //! feeds it the published files, `RemoteHub` its object cache.
 //! Repository names and manifest paths are validated against path
 //! traversal ([`validate_repo_name`], [`validate_rel_path`]).
@@ -403,9 +403,14 @@ where
 /// `dlv pull` for every backend: assemble a repository at `dest` from
 /// local files. `fetch` runs once `dest` is known to be free and returns
 /// each committed file as (file to copy from, repo-relative path).
-/// The copies are staged next to `dest` and renamed into place, then the
-/// repository's own fsck must pass before the pull reports success. On
-/// any failure `dest` is left absent and the staging directory removed.
+/// The copies are staged next to `dest`, the staged repository's own
+/// fsck must pass, and only then is it renamed into place. On any
+/// failure `dest` is left absent and the staging directory removed.
+///
+/// Every copied byte was already checked against the hash the manifest
+/// names for it, which proves the bytes are the ones the hub published;
+/// the fsck proves they form a readable repository (a publication can
+/// be hash-consistent and still not decode).
 pub fn pull_into<E: From<DlvError>>(
     dest: &Path,
     fetch: impl FnOnce() -> Result<Vec<(PathBuf, String)>, E>,
@@ -422,6 +427,10 @@ pub fn pull_into<E: From<DlvError>>(
         for (from, rel) in &files {
             std::fs::copy(from, staged_file(&stage, rel)?).map_err(DlvError::Io)?;
         }
+        let problems = Repository::open(&stage)?.fsck();
+        if !problems.is_empty() {
+            return Err(DlvError::Verify(problems.join("; ")));
+        }
         std::fs::rename(&stage, dest).map_err(|e| {
             if dest.exists() {
                 DlvError::AlreadyExists(dest.display().to_string())
@@ -434,12 +443,7 @@ pub fn pull_into<E: From<DlvError>>(
         let _ = std::fs::remove_dir_all(&stage);
         return Err(e.into());
     }
-    let repo = Repository::open(dest)?;
-    let problems = repo.fsck();
-    if !problems.is_empty() {
-        return Err(DlvError::Verify(problems.join("; ")).into());
-    }
-    Ok(repo)
+    Ok(Repository::open(dest)?)
 }
 
 /// The file inside a publication that holds its manifest, written by
@@ -588,14 +592,24 @@ impl Hub {
 
     /// The committed-content manifest of the publication `name`, as
     /// stored by [`Hub::commit`]. A publication made before manifests
-    /// were stored has none; its files are hashed instead.
+    /// were stored has none; its files are hashed instead. A stored
+    /// manifest that does not parse is an error.
     pub fn manifest(&self, name: &str) -> Result<Vec<ManifestEntry>, DlvError> {
+        self.stored_manifest(name)?
+            .map_err(|e| DlvError::Hub(format!("stored manifest of '{name}': {e}")))
+    }
+
+    /// [`Hub::manifest`], with a stored manifest's parse error kept apart
+    /// from the errors of reaching it.
+    fn stored_manifest(
+        &self,
+        name: &str,
+    ) -> Result<Result<Vec<ManifestEntry>, ManifestError>, DlvError> {
         let dir = self.published(name)?;
         match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
-            Ok(body) => parse_manifest(&body)
-                .map_err(|e| DlvError::Hub(format!("stored manifest of '{name}': {e}"))),
+            Ok(body) => Ok(parse_manifest(&body)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                committed_manifest(&Repository::open(&dir)?)
+                committed_manifest(&Repository::open(&dir)?).map(Ok)
             }
             Err(e) => Err(DlvError::Io(e)),
         }
@@ -627,12 +641,15 @@ impl Hub {
     }
 
     /// Hash → repo-relative path over the publication `name`; empty if
-    /// `name` is not published.
+    /// `name` is not published or its stored manifest does not parse.
+    /// Negotiation then asks for every object, so a republish replaces a
+    /// garbled manifest instead of failing on it forever.
     fn held(&self, name: &str) -> Result<BTreeMap<String, String>, DlvError> {
-        match self.manifest(name) {
-            Err(DlvError::NoSuchVersion(_)) => Ok(BTreeMap::new()),
-            manifest => Ok(manifest?.into_iter().map(|e| (e.hash, e.path)).collect()),
-        }
+        let manifest = match self.stored_manifest(name) {
+            Err(DlvError::NoSuchVersion(_)) => return Ok(BTreeMap::new()),
+            stored => stored?.unwrap_or_default(),
+        };
+        Ok(manifest.into_iter().map(|e| (e.hash, e.path)).collect())
     }
 
     /// Published repository names. Names may contain `/` (e.g.

@@ -228,6 +228,28 @@ enum SnapshotData {
     Archived(PathBuf, BTreeMap<String, mh_pas::VertexId>),
 }
 
+/// Read the weights `data` locates, recording their source on `sp`:
+/// every archived layer in one group read.
+fn read_weights(data: &SnapshotData, sp: &mut mh_obs::Span) -> Result<Weights, DlvError> {
+    match data {
+        SnapshotData::Staged(path) => {
+            let blob = std::fs::read(path).map_err(DlvError::Io)?;
+            sp.add_bytes_in(blob.len() as u64);
+            sp.field("source", "staged");
+            weights_from_bytes(&blob)
+        }
+        SnapshotData::Archived(dir, layers) => {
+            let store = SegmentStore::open(dir).map_err(DlvError::Pas)?;
+            let vertices: Vec<mh_pas::VertexId> = layers.values().copied().collect();
+            let mats = store
+                .recreate_group_parallel(&vertices)
+                .map_err(DlvError::Pas)?;
+            sp.field("source", "pas");
+            Ok(layers.keys().cloned().zip(mats).collect())
+        }
+    }
+}
+
 /// One archived PAS store's identity within a repository.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchiveId(pub String);
@@ -773,24 +795,8 @@ impl Repository {
         if sp.is_recording() {
             sp.field("spec", spec);
         }
-        match self.locate_snapshot(spec, snap)? {
-            SnapshotData::Staged(path) => {
-                let blob = std::fs::read(path).map_err(DlvError::Io)?;
-                sp.add_bytes_in(blob.len() as u64);
-                sp.field("source", "staged");
-                weights_from_bytes(&blob)
-            }
-            SnapshotData::Archived(dir, layers) => {
-                let store = SegmentStore::open(&dir).map_err(DlvError::Pas)?;
-                let (names, vertices): (Vec<String>, Vec<mh_pas::VertexId>) =
-                    layers.into_iter().unzip();
-                let mats = store
-                    .recreate_group_parallel(&vertices)
-                    .map_err(DlvError::Pas)?;
-                sp.field("source", "pas");
-                Ok(names.into_iter().zip(mats).collect())
-            }
-        }
+        let data = self.locate_snapshot(spec, snap)?;
+        read_weights(&data, &mut sp)
     }
 
     /// For archived snapshots: the PAS store directory and the layer →
@@ -888,15 +894,61 @@ impl Repository {
     /// recreate, content-addressed files match their digests, and lineage
     /// rows reference existing versions. Returns human-readable problem
     /// descriptions (empty = clean).
+    ///
+    /// Archived snapshots are checked store by store: every snapshot is
+    /// located first, then each store is opened once and
+    /// [`SegmentStore::verify`]'d over the vertices of all its snapshots,
+    /// which decodes each stored plane once instead of recreating every
+    /// snapshot from its chain roots. `verify` passes iff every one of
+    /// those recreates would, so a store that passes has no problem to
+    /// report. A store that fails is checked again snapshot by snapshot,
+    /// as [`Self::get_weights`] would read each, so the problem lines are
+    /// the per-snapshot ones.
     pub fn fsck(&self) -> Vec<String> {
+        let mut sp = mh_obs::span("dlv.fsck");
         let mut problems = Vec::new();
         let versions = self.list();
-        let keys: std::collections::BTreeSet<String> =
-            versions.iter().map(|v| v.key.to_string()).collect();
-        for v in &versions {
-            let spec = v.key.to_string();
+        let keys: BTreeSet<String> = versions.iter().map(|v| v.key.to_string()).collect();
+        type Located = Result<Vec<(usize, Result<SnapshotData, DlvError>)>, DlvError>;
+        let located: Vec<(String, Located)> = versions
+            .iter()
+            .map(|v| {
+                let spec = v.key.to_string();
+                let snaps = self.snapshots(&spec).map(|snaps| {
+                    snaps
+                        .into_iter()
+                        .map(|s| (s.index, self.locate_snapshot(&spec, Some(s.index))))
+                        .collect()
+                });
+                (spec, snaps)
+            })
+            .collect();
+        let snapshots = located
+            .iter()
+            .filter_map(|(_, snaps)| snaps.as_ref().ok())
+            .flatten();
+        let mut stores: BTreeMap<&Path, Vec<mh_pas::VertexId>> = BTreeMap::new();
+        for (_, data) in snapshots.clone() {
+            if let Ok(SnapshotData::Archived(dir, layers)) = data {
+                stores.entry(dir).or_default().extend(layers.values());
+            }
+        }
+        let mut planes_decoded = 0;
+        let mut verified = BTreeSet::new();
+        for (dir, members) in &stores {
+            if let Ok(n) = SegmentStore::open(dir).and_then(|store| store.verify(members)) {
+                planes_decoded += n;
+                verified.insert(*dir);
+            }
+        }
+        if sp.is_recording() {
+            sp.field("stores", stores.len());
+            sp.field("snapshots", snapshots.count());
+            sp.field("planes_decoded", planes_decoded);
+        }
+        for (spec, snaps) in &located {
             // Network decodes and shape-checks.
-            match self.get_network(&spec) {
+            match self.get_network(spec) {
                 Ok(net) => {
                     if net.infer_shapes().is_err() {
                         problems.push(format!("{spec}: stored network fails shape inference"));
@@ -905,18 +957,29 @@ impl Repository {
                 Err(e) => problems.push(format!("{spec}: network unreadable ({e})")),
             }
             // Every snapshot's weights must load.
-            match self.snapshots(&spec) {
+            match snaps {
                 Ok(snaps) => {
-                    for s in snaps {
-                        if let Err(e) = self.get_weights(&spec, Some(s.index)) {
-                            problems.push(format!("{spec}: snapshot {} unreadable ({e})", s.index));
+                    for (index, data) in snaps {
+                        let read = match data {
+                            Ok(SnapshotData::Archived(dir, _))
+                                if verified.contains(dir.as_path()) =>
+                            {
+                                Ok(())
+                            }
+                            Ok(data) => read_weights(data, &mut mh_obs::span("dlv.checkout"))
+                                .map(drop)
+                                .map_err(|e| e.to_string()),
+                            Err(e) => Err(e.to_string()),
+                        };
+                        if let Err(e) = read {
+                            problems.push(format!("{spec}: snapshot {index} unreadable ({e})"));
                         }
                     }
                 }
                 Err(e) => problems.push(format!("{spec}: snapshot list unreadable ({e})")),
             }
             // Associated files match their digests.
-            if let Ok(desc) = self.desc(&spec) {
+            if let Ok(desc) = self.desc(spec) {
                 for (path, digest, bytes) in &desc.files {
                     match std::fs::read(self.root.join("objects").join(digest)) {
                         Ok(content) => {

@@ -6,10 +6,10 @@
 use mh_dlv::hash::sha256_hex;
 use mh_dlv::{
     committed_manifest, encode_manifest, replace_published, validate_rel_path, validate_repo_name,
-    DlvError, Hub, HubBackend, ManifestEntry, Repository, Source, MANIFEST_FILE,
+    ArchiveConfig, DlvError, Hub, HubBackend, ManifestEntry, Repository, Source, MANIFEST_FILE,
 };
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -320,6 +320,24 @@ fn hub_backend_trait_object_works_for_local_hub() {
 
 /// Every committed file of `repo`, keyed by hash, as a hubd commit would
 /// receive it.
+/// Overwrite one byte plane of the publication at `published` with bytes
+/// that do not decode, then store the manifest of what it now holds: a
+/// publication every hash of which checks out, but that is not a
+/// readable repository.
+fn corrupt_a_plane_keeping_hashes(published: &Path) {
+    let store = published.join("pas").join("store0000");
+    let plane = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().ends_with("_p0.mhz"))
+        .unwrap();
+    let len = std::fs::read(&plane).unwrap().len();
+    let garbage: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+    std::fs::write(&plane, garbage).unwrap();
+    let manifest = committed_manifest(&Repository::open(published).unwrap()).unwrap();
+    std::fs::write(published.join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
+}
+
 fn objects_of(repo: &Repository) -> BTreeMap<String, Vec<u8>> {
     committed_manifest(repo)
         .unwrap()
@@ -467,9 +485,52 @@ fn a_corrupt_stored_manifest_is_an_error_not_a_fallback() {
     .unwrap();
     assert!(matches!(hub.manifest("garbled"), Err(DlvError::Hub(_))));
     assert!(hub
-        .wants("garbled", &committed_manifest(&repo).unwrap())
-        .is_err());
-    assert!(hub
         .pull("garbled", &temp_dir("garbled-pull").join("c"))
         .is_err());
+
+    // Negotiation treats the publication as holding nothing, so the
+    // republish hubd runs (upload what `wants` names, then commit)
+    // replaces the garbled manifest.
+    let manifest = committed_manifest(&repo).unwrap();
+    let wants = hub.wants("garbled", &manifest).unwrap();
+    let every: BTreeSet<String> = manifest.iter().map(|e| e.hash.clone()).collect();
+    assert_eq!(wants, every);
+    let uploaded: BTreeMap<String, Vec<u8>> = objects_of(&repo)
+        .into_iter()
+        .filter(|(hash, _)| wants.contains(hash))
+        .collect();
+    hub.commit("garbled", &manifest, Source::Objects(&uploaded))
+        .unwrap();
+    assert_stored_manifest(&hub_dir, "garbled");
+    let pulled = hub
+        .pull("garbled", &temp_dir("garbled-repull").join("c"))
+        .unwrap();
+    assert_eq!(committed_manifest(&pulled).unwrap(), manifest);
+}
+
+#[test]
+fn a_publication_whose_hashes_match_but_planes_do_not_decode_fails_the_pull() {
+    let dir = temp_dir("undecodable-repo");
+    let hub_dir = temp_dir("undecodable-hub");
+    let repo = sample_repo(&dir, "m", 9);
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "rotten").unwrap();
+    let published = hub_dir.join("rotten");
+    corrupt_a_plane_keeping_hashes(&published);
+    assert_eq!(
+        hub.manifest("rotten").unwrap(),
+        committed_manifest(&Repository::open(&published).unwrap()).unwrap()
+    );
+    let pulls = temp_dir("undecodable-pull");
+    let dest = pulls.join("c");
+    let err = hub.pull("rotten", &dest).unwrap_err();
+    assert!(matches!(err, DlvError::Verify(_)), "{err}");
+    assert!(err.to_string().contains("unreadable"), "{err}");
+    assert!(!dest.exists(), "a failed pull must leave no destination");
+    assert_eq!(
+        std::fs::read_dir(&pulls).unwrap().count(),
+        0,
+        "stage left behind"
+    );
 }

@@ -584,3 +584,59 @@ fn commit_with_a_bad_manifest_is_422_and_keeps_the_publication() {
     assert_stored_manifest(server.root(), "kept", Some(&server));
     server.stop();
 }
+
+#[test]
+fn a_publication_whose_hashes_match_but_planes_do_not_decode_fails_the_pull() {
+    let dir = temp_dir("undecodable-repo");
+    let repo = sample_repo(&dir, "lenet-rotten", 27);
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let (server, client) = start_server("undecodable");
+    client.publish_repo(&repo, "rotten").unwrap();
+    // Garble one byte plane, then store the manifest of what the
+    // publication now holds: every hash checks out, nothing decodes.
+    let published = server.root().join("rotten");
+    let store = published.join("pas").join("store0000");
+    let plane = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().ends_with("_p0.mhz"))
+        .unwrap();
+    let len = std::fs::read(&plane).unwrap().len();
+    let garbage: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+    std::fs::write(&plane, garbage).unwrap();
+    let manifest = committed_manifest(&Repository::open(&published).unwrap()).unwrap();
+    std::fs::write(published.join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
+
+    let pulls = temp_dir("undecodable-pull");
+    let dest = pulls.join("c");
+    let err = client.pull_repo("rotten", &dest).unwrap_err();
+    assert!(matches!(err, HubError::Dlv(DlvError::Verify(_))), "{err}");
+    assert!(!dest.exists(), "a failed pull must leave no destination");
+    assert_eq!(
+        std::fs::read_dir(&pulls).unwrap().count(),
+        0,
+        "stage or object cache left behind"
+    );
+    server.stop();
+}
+
+#[test]
+fn a_remote_republish_repairs_a_garbled_stored_manifest() {
+    let dir = temp_dir("garbled-repo");
+    let repo = sample_repo(&dir, "lenet-garbled", 28);
+    let (server, client) = start_server("garbled");
+    client.publish_repo(&repo, "garbled").unwrap();
+    let stored = server.root().join("garbled").join(MANIFEST_FILE);
+    std::fs::write(&stored, b"not a manifest\n").unwrap();
+    let pulls = temp_dir("garbled-pull");
+    assert!(client.pull_repo("garbled", &pulls.join("before")).is_err());
+
+    client.publish_repo(&repo, "garbled").unwrap();
+    assert_stored_manifest(server.root(), "garbled", Some(&server));
+    let pulled = client.pull_repo("garbled", &pulls.join("after")).unwrap();
+    assert_eq!(
+        committed_manifest(&pulled).unwrap(),
+        committed_manifest(&repo).unwrap()
+    );
+    server.stop();
+}

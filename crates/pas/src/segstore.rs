@@ -522,16 +522,12 @@ impl SegmentStore {
         // Per (object, first missing plane): its words over the planes
         // `first..to`, filled in from the decoded planes below.
         let mut words: BTreeMap<(VertexId, usize), Vec<u32>> = BTreeMap::new();
-        let mut jobs: BTreeMap<(VertexId, usize), &ManifestRow> = BTreeMap::new();
         for pre in prefixes.iter().filter(|pre| pre.planes < to) {
             for &o in &pre.path {
                 words.entry((o.vertex, pre.planes)).or_default();
-                for p in pre.planes..to {
-                    jobs.insert((o.vertex, p), o);
-                }
             }
         }
-        let jobs: Vec<(&ManifestRow, usize)> = jobs.into_iter().map(|((_, p), o)| (o, p)).collect();
+        let jobs = plane_jobs(prefixes, to);
         if sp.is_recording() {
             sp.field("planes_decoded", jobs.len());
             sp.add_bytes_in(
@@ -588,6 +584,58 @@ impl SegmentStore {
         }
         Ok(jobs.len())
     }
+
+    /// Check that every member would recreate, without recreating it:
+    /// each member's chain passes [`Self::plane_prefix`]'s structure
+    /// checks, then every distinct (chain object, plane) pair on the
+    /// members' chains is decoded once, in one byte-batched pool map, and
+    /// dropped. Returns the number of pairs decoded; on failure the first
+    /// error in member order, then in job order, so the result is the
+    /// same at any width.
+    ///
+    /// This is exactly [`Self::recreate_group_parallel`]'s check. A
+    /// recreate fails only in `plane_prefix` (chain structure) or in
+    /// `load_plane` (a plane file missing, not decoding, or not
+    /// `rows × cols` bytes long). Past those checks nothing else can
+    /// fail: `chain_step` rejects only the chain shapes `plane_prefix`
+    /// already rejected, `apply_positional` is total, and the chain
+    /// walk leaves exactly `rows × cols` words for the final matrix. So
+    /// `verify` is `Ok` iff recreating every member is, with no chain
+    /// walk, word accumulator or matrix, and with decoded planes held
+    /// one batch per worker.
+    // mh-audit: no_panic_zone
+    pub fn verify(&self, members: &[VertexId]) -> Result<usize, PasError> {
+        let prefixes = members
+            .iter()
+            .map(|&v| self.plane_prefix(v))
+            .collect::<Result<Vec<_>, _>>()?;
+        let jobs = plane_jobs(&prefixes, 4);
+        mh_par::parallel_map_batched(
+            &jobs,
+            |&(o, p)| plane_weight(o, p),
+            || (),
+            |(), &(o, p)| self.load_plane(o, p).map(drop),
+        )
+        .map_err(PasError::from)?
+        .into_iter()
+        .collect::<Result<(), _>>()?;
+        Ok(jobs.len())
+    }
+}
+
+/// Every distinct (chain object, plane) pair that advancing `prefixes` to
+/// `to` planes decodes, in (vertex, plane) order: the planes
+/// `planes..to` of each object on each short prefix's chain.
+fn plane_jobs<'s>(prefixes: &[PlanePrefix<'s>], to: usize) -> Vec<(&'s ManifestRow, usize)> {
+    let mut jobs = BTreeMap::new();
+    for pre in prefixes.iter().filter(|pre| pre.planes < to) {
+        for &o in &pre.path {
+            for p in pre.planes..to {
+                jobs.insert((o.vertex, p), o);
+            }
+        }
+    }
+    jobs.into_iter().map(|((_, p), o)| (o, p)).collect()
 }
 
 /// A vertex's byte-plane prefix: the chain walk over the first
@@ -1112,6 +1160,168 @@ mod group_tests {
             assert!(bit_equal(m, &map[&v]));
             assert!(bit_equal(&pre.to_matrix().unwrap(), &map[&v]));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[cfg(test)]
+mod verify_tests {
+    use super::*;
+    use crate::graph::EdgeKind;
+    use crate::solver;
+    use std::collections::BTreeSet;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("mh-pas-verify-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).unwrap();
+        d
+    }
+
+    /// A SUB chain m0 -> m1 -> m2 -> m3 of 10×11 matrices plus an
+    /// independent 5×4 one.
+    fn chain_store(dir: &Path) -> Vec<VertexId> {
+        let mut g = StorageGraph::new();
+        let m0 = Matrix::from_fn(10, 11, |r, c| ((r * 11 + c) as f32 * 0.31).cos() * 0.5);
+        let mut mats: Vec<Matrix> = (0..4).map(|i| m0.map(|x| x + i as f32 * 1e-4)).collect();
+        mats.push(Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * 0.21));
+        let vs: Vec<VertexId> = (0..5).map(|i| g.add_vertex(&format!("m{i}"))).collect();
+        for &v in &vs {
+            g.add_edge(NULL_VERTEX, v, EdgeKind::Materialize, 100.0, 10.0);
+        }
+        for w in vs[..4].windows(2) {
+            g.add_delta_pair(w[0], w[1], 5.0, 1.0);
+        }
+        g.add_snapshot("s", vs.clone(), f64::INFINITY);
+        let plan = solver::mst(&g).unwrap();
+        let map: BTreeMap<VertexId, Matrix> = vs.iter().copied().zip(mats).collect();
+        SegmentStore::create(dir, &g, &plan, &map, DeltaOp::Sub, Level::Fast).unwrap();
+        vs
+    }
+
+    /// Every member set the checks run over: each vertex alone, each
+    /// adjacent pair, and all of them.
+    fn member_sets(vs: &[VertexId]) -> Vec<Vec<VertexId>> {
+        let mut sets: Vec<Vec<VertexId>> = vs.iter().map(|&v| vec![v]).collect();
+        sets.extend(vs.windows(2).map(<[VertexId]>::to_vec));
+        sets.push(vs.to_vec());
+        sets
+    }
+
+    /// `verify` agrees with recreating the members: both pass, or both
+    /// fail with the same error.
+    fn assert_agrees(dir: &Path, sets: &[Vec<VertexId>], what: &str) {
+        let store = match SegmentStore::open(dir) {
+            Ok(store) => store,
+            Err(e) => panic!("{what}: the store must still open: {e}"),
+        };
+        for members in sets {
+            let verified = store.verify(members).map_err(|e| e.to_string());
+            let recreated = store
+                .recreate_group_parallel(members)
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                verified.as_ref().err(),
+                recreated.as_ref().err(),
+                "{what}: members {members:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_counts_each_chain_plane_once() {
+        let dir = temp_dir("count");
+        let vs = chain_store(&dir);
+        let store = SegmentStore::open(&dir).unwrap();
+        let rows =
+            parse_manifest(&std::fs::read_to_string(dir.join("manifest.mhp")).unwrap()).unwrap();
+        let parent: BTreeMap<VertexId, VertexId> =
+            rows.iter().map(|r| (r.vertex, r.parent)).collect();
+        assert!(rows.iter().any(|r| r.kind == ObjectKind::DeltaSub));
+        for members in member_sets(&vs) {
+            let mut on_chains = BTreeSet::new();
+            for &v in &members {
+                let mut cur = v;
+                while cur != NULL_VERTEX {
+                    on_chains.insert(cur);
+                    cur = parent[&cur];
+                }
+            }
+            assert_eq!(
+                store.verify(&members).unwrap(),
+                4 * on_chains.len(),
+                "{members:?}"
+            );
+        }
+        assert_eq!(store.verify(&[]).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_fails_exactly_when_recreate_does() {
+        let dir = temp_dir("agree");
+        let vs = chain_store(&dir);
+        let sets = member_sets(&vs);
+        assert_agrees(&dir, &sets, "clean");
+        // Every plane of every object, damaged four ways.
+        let other_shape = std::fs::read(plane_path(&dir, vs[4], 0)).unwrap();
+        for &v in &vs {
+            for p in 0..4 {
+                let path = plane_path(&dir, v, p);
+                let good = std::fs::read(&path).unwrap();
+                let garbage: Vec<u8> = (0..good.len()).map(|i| (i * 131 + 7) as u8).collect();
+                let wrong_len = if v == vs[4] {
+                    std::fs::read(plane_path(&dir, vs[0], p)).unwrap()
+                } else {
+                    other_shape.clone()
+                };
+                for (how, bytes) in [
+                    ("truncated", Some(good[..good.len() / 2].to_vec())),
+                    ("garbage", Some(garbage)),
+                    ("wrong length", Some(wrong_len)),
+                    ("deleted", None),
+                ] {
+                    match bytes {
+                        Some(b) => std::fs::write(&path, b).unwrap(),
+                        None => std::fs::remove_file(&path).unwrap(),
+                    }
+                    assert_agrees(&dir, &sets, &format!("{how} plane {p} of v{v}"));
+                    let store = SegmentStore::open(&dir).unwrap();
+                    assert!(store.verify(&[v]).is_err(), "{how} plane {p} of v{v}");
+                    std::fs::write(&path, &good).unwrap();
+                }
+            }
+        }
+        // Manifest damage: a dangling parent, a cycle, a materialized
+        // object mid-chain, a chain mixing sub and xor.
+        let manifest = dir.join("manifest.mhp");
+        let good = std::fs::read_to_string(&manifest).unwrap();
+        let edit = |v: VertexId, field: usize, value: &str| -> String {
+            let mut out = String::new();
+            for line in good.lines() {
+                let mut f: Vec<&str> = line.split('\t').collect();
+                if f.first() == Some(&v.to_string().as_str()) {
+                    f[field] = value;
+                }
+                out.push_str(&f.join("\t"));
+                out.push('\n');
+            }
+            out
+        };
+        for (what, text) in [
+            ("dangling parent", edit(vs[2], 2, "999999")),
+            ("parent cycle", edit(vs[0], 2, &vs[3].to_string())),
+            ("materialized mid-chain", edit(vs[1], 1, "mat")),
+            ("mixed chain", edit(vs[2], 1, "xor")),
+        ] {
+            assert_ne!(text, good, "{what}: the edit must change the manifest");
+            std::fs::write(&manifest, text).unwrap();
+            assert_agrees(&dir, &sets, what);
+            let store = SegmentStore::open(&dir).unwrap();
+            assert!(store.verify(&vs).is_err(), "{what}");
+        }
+        std::fs::write(&manifest, &good).unwrap();
+        assert_agrees(&dir, &sets, "restored");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
