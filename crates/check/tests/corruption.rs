@@ -352,6 +352,43 @@ fn dangling_pas_vertex_row() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn snapshot_read_from_another_store_is_flagged() {
+    // Two archive rounds number their vertices alike, so pointing a:1's
+    // first snapshot at the second store still reads, but b's weights.
+    let dir = temp_dir("wrongstore");
+    let repo = Repository::init(&dir).unwrap();
+    let net = zoo::lenet_s(3);
+    let w0 = Weights::init(&net, 1).unwrap();
+    let mut req = CommitRequest::new("a", net.clone());
+    req.snapshots = vec![(0, w0.clone())];
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    let mut req = CommitRequest::new("b", net);
+    req.snapshots = vec![(0, perturbed(&w0, 0.5))];
+    repo.commit(&req).unwrap();
+    repo.archive(&ArchiveConfig::default()).unwrap();
+    with_catalog(&dir, |db| {
+        let row = db.table("snapshot")?.scan().next().unwrap();
+        assert_eq!(row.values[3], Value::Text("pas:store0000".into()));
+        db.table_mut("snapshot")?.update(
+            row.id,
+            "location",
+            Value::Text("pas:store0001".into()),
+        )?;
+        Ok(())
+    });
+    let report = run(&dir);
+    let codes = codes(&report);
+    assert!(!codes.is_empty(), "{:?}", report.findings);
+    assert!(
+        codes.iter().all(|c| *c == mh_check::B_DANGLING_PAS_VERTEX),
+        "{:?}",
+        report.findings
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- PAS store corruption ---------------------------------------------
 
 /// Rewrite the manifest through a line-level editor.
@@ -533,8 +570,11 @@ fn non_numeric_rows_field_is_a_bad_manifest_to_both_checkers() {
         "{:?}",
         report.findings
     );
-    let problems = Repository::open(&dir).unwrap().fsck();
-    assert!(!problems.is_empty(), "the store must not open either");
+    let repo = Repository::open(&dir).unwrap();
+    assert!(
+        repo.get_weights("a:1", None).is_err(),
+        "the store must not open either"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -553,11 +593,11 @@ fn duplicate_vertex_row_fails_the_repository_check_too() {
         "{:?}",
         report.findings
     );
-    let problems = Repository::open(&dir).unwrap().fsck();
-    assert!(
-        problems.iter().any(|p| p.contains("duplicate vertex")),
-        "{problems:?}"
-    );
+    let err = Repository::open(&dir)
+        .unwrap()
+        .get_weights("a:1", None)
+        .unwrap_err();
+    assert!(err.to_string().contains("duplicate vertex"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -640,8 +680,9 @@ fn deep_check_flags_undecodable_plane_data() {
     let dir = build_repo("deepbound");
     let store = store_dir(&dir);
     // Overwrite a plane-0 stream with same-length garbage and keep the
-    // manifest size intact: structure checks pass, but deriving interval
-    // bounds from the prefix must fail in deep mode.
+    // manifest size intact: structure checks pass, but decoding the plane
+    // fails at the default level, and deriving interval bounds from the
+    // prefix fails in deep mode.
     let plane = std::fs::read_dir(&store)
         .unwrap()
         .flatten()
@@ -653,10 +694,15 @@ fn deep_check_flags_undecodable_plane_data() {
     std::fs::write(&plane, vec![0xAB; len]).unwrap();
 
     let shallow = run(&dir);
-    assert!(
-        shallow.is_clean(),
-        "structure still intact: {:?}",
-        shallow.findings
+    let store_loc = format!("pas/{}", store.file_name().unwrap().to_string_lossy());
+    assert_eq!(
+        shallow
+            .findings
+            .iter()
+            .map(|f| (f.code, f.location.as_str()))
+            .collect::<Vec<_>>(),
+        [(mh_check::P_UNDECODABLE_STORE, store_loc.as_str())],
+        "structure intact, one store that does not decode"
     );
     let deep = fsck(&dir, &FsckConfig { deep: true }).unwrap();
     assert!(
@@ -665,6 +711,60 @@ fn deep_check_flags_undecodable_plane_data() {
             .any(|f| f.code == mh_check::E_BOUND_VIOLATION),
         "{:?}",
         deep.findings
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_network_that_does_not_infer_shapes_is_flagged() {
+    let dir = build_repo("badshape");
+    with_catalog(&dir, |db| {
+        // Wire a's last layer back to its first: the network has a cycle.
+        let mv = db
+            .table("model_version")?
+            .select(&Predicate::Eq("name".into(), Value::Text("a".into())))[0]
+            .id as i64;
+        let ids: Vec<i64> = db
+            .table("node")?
+            .select(&Predicate::Eq("mv".into(), Value::Int(mv)))
+            .iter()
+            .filter_map(|r| r.values[1].as_int())
+            .collect();
+        let (first, last) = (*ids.iter().min().unwrap(), *ids.iter().max().unwrap());
+        db.table_mut("edge")?
+            .insert(vec![Value::Int(mv), Value::Int(last), Value::Int(first)])?;
+        Ok(())
+    });
+    let report = run(&dir);
+    assert_eq!(
+        codes(&report),
+        [mh_check::C_BAD_NETWORK],
+        "{:?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.starts_with("a:1: "));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn archived_snapshot_without_vertex_rows() {
+    let dir = build_repo("novertices");
+    with_catalog(&dir, |db| {
+        let rows = db
+            .table("pas_vertex")?
+            .select(&Predicate::Eq("snap_idx".into(), Value::Int(1)));
+        assert!(!rows.is_empty());
+        for r in rows {
+            db.table_mut("pas_vertex")?.delete(r.id);
+        }
+        Ok(())
+    });
+    let report = run(&dir);
+    assert_eq!(
+        codes(&report),
+        [mh_check::B_NO_PAS_VERTICES],
+        "{:?}",
+        report.findings
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -403,9 +403,10 @@ where
 /// `dlv pull` for every backend: assemble a repository at `dest` from
 /// local files. `fetch` runs once `dest` is known to be free and returns
 /// each committed file as (file to copy from, repo-relative path).
-/// The copies are staged next to `dest`, the staged repository's own
-/// fsck must pass, and only then is it renamed into place. On any
-/// failure `dest` is left absent and the staging directory removed.
+/// The copies are staged next to `dest`, [`crate::fsck::fsck`] at its
+/// default level must find no error in the stage, and only then is it
+/// renamed into place. On any failure `dest` is left absent and the
+/// staging directory removed.
 ///
 /// Every copied byte was already checked against the hash the manifest
 /// names for it, which proves the bytes are the ones the hub published;
@@ -427,9 +428,15 @@ pub fn pull_into<E: From<DlvError>>(
         for (from, rel) in &files {
             std::fs::copy(from, staged_file(&stage, rel)?).map_err(DlvError::Io)?;
         }
-        let problems = Repository::open(&stage)?.fsck();
-        if !problems.is_empty() {
-            return Err(DlvError::Verify(problems.join("; ")));
+        let report = crate::fsck::fsck(&stage, &crate::fsck::FsckConfig::default())?;
+        if report.errors() > 0 {
+            let errors: Vec<String> = report
+                .findings
+                .iter()
+                .filter(|f| f.severity == crate::fsck::Severity::Error)
+                .map(|f| f.to_string())
+                .collect();
+            return Err(DlvError::Verify(errors.join("; ")));
         }
         std::fs::rename(&stage, dest).map_err(|e| {
             if dest.exists() {

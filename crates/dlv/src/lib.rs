@@ -33,6 +33,7 @@
 //! ```
 
 pub mod diff;
+pub mod fsck;
 pub mod hash;
 pub mod hub;
 pub mod layercodec;

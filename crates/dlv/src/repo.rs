@@ -502,8 +502,8 @@ impl Repository {
         for (sidx, (iter, w)) in req.snapshots.iter().enumerate() {
             let blob = weights_to_bytes(w, Level::Fast);
             sp.add_bytes_out(blob.len() as u64);
-            let rel = format!("weights/{}_{}_s{}.mhw", sanitize_name(&req.name), vid, sidx);
-            std::fs::write(self.root.join(&rel), &blob).map_err(DlvError::Io)?;
+            let stem = format!("weights/{}_{}_s{}", sanitize_name(&req.name), vid, sidx);
+            let rel = self.create_blob(&stem, &blob)?;
             snapshot_rows.push((sidx as i64, *iter as i64, format!("staged:{rel}")));
         }
         // Content-addressed associated files.
@@ -601,6 +601,27 @@ impl Repository {
             })
             .map_err(DlvError::Store)?;
         Ok(key)
+    }
+
+    /// Write a new staged blob at `<stem>.mhw`, or at `<stem>-<n>.mhw`
+    /// with the smallest `n` whose name is free: names that sanitize
+    /// alike (`m.x`, `m_x`) get files of their own, and an existing blob
+    /// is never opened for writing. Returns the repo-relative path.
+    fn create_blob(&self, stem: &str, blob: &[u8]) -> Result<String, DlvError> {
+        use std::io::Write;
+        for n in 0..u32::MAX {
+            let rel = match n {
+                0 => format!("{stem}.mhw"),
+                n => format!("{stem}-{n}.mhw"),
+            };
+            let mut open = std::fs::OpenOptions::new();
+            match open.write(true).create_new(true).open(self.root.join(&rel)) {
+                Ok(mut f) => return f.write_all(blob).map(|()| rel).map_err(DlvError::Io),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(DlvError::Io(e)),
+            }
+        }
+        Err(DlvError::AlreadyExists(format!("{stem}.mhw")))
     }
 
     /// `dlv copy`: scaffold a new version from an existing one (same
@@ -764,23 +785,7 @@ impl Repository {
                 .collect();
             (nodes, edges)
         });
-        let mut sorted = nodes;
-        sorted.sort();
-        let mut net = Network::new();
-        let mut remap = BTreeMap::new();
-        for (old_id, name, def) in &sorted {
-            let kind = decode_layer(def).ok_or(DlvError::Corrupt("bad layer definition"))?;
-            let id = net.add_layer(name, kind).map_err(DlvError::Network)?;
-            remap.insert(*old_id, id);
-        }
-        for (f, t) in edges {
-            let (&nf, &nt) = (
-                remap.get(&f).ok_or(DlvError::Corrupt("dangling edge"))?,
-                remap.get(&t).ok_or(DlvError::Corrupt("dangling edge"))?,
-            );
-            net.connect(nf, nt).map_err(DlvError::Network)?;
-        }
-        Ok(net)
+        network_from_rows(nodes, edges)
     }
 
     /// Snapshot infos of a version (ordered by index).
@@ -887,122 +892,6 @@ impl Repository {
         });
         out.sort_by_key(|(i, _)| *i);
         Ok(out)
-    }
-
-    /// Integrity check (fsck): verifies that every version's artifacts are
-    /// present and consistent — staged blobs decode, archived snapshots
-    /// recreate, content-addressed files match their digests, and lineage
-    /// rows reference existing versions. Returns human-readable problem
-    /// descriptions (empty = clean).
-    ///
-    /// Archived snapshots are checked store by store: every snapshot is
-    /// located first, then each store is opened once and
-    /// [`SegmentStore::verify`]'d over the vertices of all its snapshots,
-    /// which decodes each stored plane once instead of recreating every
-    /// snapshot from its chain roots. `verify` passes iff every one of
-    /// those recreates would, so a store that passes has no problem to
-    /// report. A store that fails is checked again snapshot by snapshot,
-    /// as [`Self::get_weights`] would read each, so the problem lines are
-    /// the per-snapshot ones.
-    pub fn fsck(&self) -> Vec<String> {
-        let mut sp = mh_obs::span("dlv.fsck");
-        let mut problems = Vec::new();
-        let versions = self.list();
-        let keys: BTreeSet<String> = versions.iter().map(|v| v.key.to_string()).collect();
-        type Located = Result<Vec<(usize, Result<SnapshotData, DlvError>)>, DlvError>;
-        let located: Vec<(String, Located)> = versions
-            .iter()
-            .map(|v| {
-                let spec = v.key.to_string();
-                let snaps = self.snapshots(&spec).map(|snaps| {
-                    snaps
-                        .into_iter()
-                        .map(|s| (s.index, self.locate_snapshot(&spec, Some(s.index))))
-                        .collect()
-                });
-                (spec, snaps)
-            })
-            .collect();
-        let snapshots = located
-            .iter()
-            .filter_map(|(_, snaps)| snaps.as_ref().ok())
-            .flatten();
-        let mut stores: BTreeMap<&Path, Vec<mh_pas::VertexId>> = BTreeMap::new();
-        for (_, data) in snapshots.clone() {
-            if let Ok(SnapshotData::Archived(dir, layers)) = data {
-                stores.entry(dir).or_default().extend(layers.values());
-            }
-        }
-        let mut planes_decoded = 0;
-        let mut verified = BTreeSet::new();
-        for (dir, members) in &stores {
-            if let Ok(n) = SegmentStore::open(dir).and_then(|store| store.verify(members)) {
-                planes_decoded += n;
-                verified.insert(*dir);
-            }
-        }
-        if sp.is_recording() {
-            sp.field("stores", stores.len());
-            sp.field("snapshots", snapshots.count());
-            sp.field("planes_decoded", planes_decoded);
-        }
-        for (spec, snaps) in &located {
-            // Network decodes and shape-checks.
-            match self.get_network(spec) {
-                Ok(net) => {
-                    if net.infer_shapes().is_err() {
-                        problems.push(format!("{spec}: stored network fails shape inference"));
-                    }
-                }
-                Err(e) => problems.push(format!("{spec}: network unreadable ({e})")),
-            }
-            // Every snapshot's weights must load.
-            match snaps {
-                Ok(snaps) => {
-                    for (index, data) in snaps {
-                        let read = match data {
-                            Ok(SnapshotData::Archived(dir, _))
-                                if verified.contains(dir.as_path()) =>
-                            {
-                                Ok(())
-                            }
-                            Ok(data) => read_weights(data, &mut mh_obs::span("dlv.checkout"))
-                                .map(drop)
-                                .map_err(|e| e.to_string()),
-                            Err(e) => Err(e.to_string()),
-                        };
-                        if let Err(e) = read {
-                            problems.push(format!("{spec}: snapshot {index} unreadable ({e})"));
-                        }
-                    }
-                }
-                Err(e) => problems.push(format!("{spec}: snapshot list unreadable ({e})")),
-            }
-            // Associated files match their digests.
-            if let Ok(desc) = self.desc(spec) {
-                for (path, digest, bytes) in &desc.files {
-                    match std::fs::read(self.root.join("objects").join(digest)) {
-                        Ok(content) => {
-                            if crate::hash::sha256_hex(&content) != *digest {
-                                problems.push(format!("{spec}: file '{path}' digest mismatch"));
-                            } else if content.len() as i64 != *bytes {
-                                problems.push(format!("{spec}: file '{path}' size mismatch"));
-                            }
-                        }
-                        Err(_) => problems.push(format!("{spec}: file object '{path}' missing")),
-                    }
-                }
-            }
-        }
-        // Lineage endpoints exist.
-        for (base, derived) in self.lineage() {
-            for end in [&base, &derived] {
-                if !keys.contains(end) {
-                    problems.push(format!("lineage references missing version '{end}'"));
-                }
-            }
-        }
-        problems
     }
 
     /// Compare two versions' predictions sample by sample (the paper's
@@ -1358,6 +1247,30 @@ impl Repository {
     }
 }
 
+/// Build a network from its catalog rows: `(node id, name, encoded
+/// layer)` per node, in any order, and `(from, to)` node ids per edge.
+pub(crate) fn network_from_rows(
+    mut nodes: Vec<(i64, String, String)>,
+    edges: impl IntoIterator<Item = (i64, i64)>,
+) -> Result<Network, DlvError> {
+    nodes.sort();
+    let mut net = Network::new();
+    let mut remap = BTreeMap::new();
+    for (old_id, name, def) in &nodes {
+        let kind = decode_layer(def).ok_or(DlvError::Corrupt("bad layer definition"))?;
+        let id = net.add_layer(name, kind).map_err(DlvError::Network)?;
+        remap.insert(*old_id, id);
+    }
+    for (f, t) in edges {
+        let (&nf, &nt) = (
+            remap.get(&f).ok_or(DlvError::Corrupt("dangling edge"))?,
+            remap.get(&t).ok_or(DlvError::Corrupt("dangling edge"))?,
+        );
+        net.connect(nf, nt).map_err(DlvError::Network)?;
+    }
+    Ok(net)
+}
+
 /// Result of `dlv archive`.
 #[derive(Debug, Clone)]
 pub struct ArchiveReport {
@@ -1369,10 +1282,12 @@ pub struct ArchiveReport {
     pub num_snapshots: usize,
 }
 
+/// A version name as a file-name stem a hub accepts: ASCII letters,
+/// digits, `-` and `_`, everything else `_`.
 fn sanitize_name(name: &str) -> String {
     name.chars()
         .map(|c| {
-            if c.is_alphanumeric() || c == '-' || c == '_' {
+            if c.is_ascii_alphanumeric() || c == '-' {
                 c
             } else {
                 '_'

@@ -1,10 +1,11 @@
-//! `Repository::fsck` checks archived snapshots store by store, decoding
-//! each stored plane once. These tests hold it to the per-snapshot check
-//! it replaces: on a clean repository and under each kind of damage, its
-//! problem list is exactly the one built by reading every snapshot with
-//! `get_weights`.
+//! `mh_dlv::fsck` checks archived snapshots store by store, decoding each
+//! stored plane once. These tests hold it to the per-snapshot reads it
+//! stands for: on a clean repository and under each kind of damage, the
+//! stores and staged blobs its errors name are exactly those holding a
+//! snapshot that `get_weights` cannot read.
 
 #![allow(clippy::unwrap_used)] // test code: panics are failures
+use mh_dlv::fsck::{fsck, FsckConfig, FsckReport, Severity};
 use mh_dlv::{ArchiveConfig, CommitRequest, Repository};
 use mh_dnn::{zoo, Weights};
 use std::collections::BTreeSet;
@@ -64,55 +65,47 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// The per-snapshot fsck: every check of `Repository::fsck`, with each
-/// snapshot read through `get_weights`.
-fn per_snapshot_fsck(repo: &Repository) -> Vec<String> {
-    let mut problems = Vec::new();
-    let versions = repo.list();
-    let keys: BTreeSet<String> = versions.iter().map(|v| v.key.to_string()).collect();
-    for v in &versions {
+/// Where a snapshot's weights live, at store granularity: the store
+/// directory (`pas/store0000`) of an archived snapshot, the blob
+/// (`weights/...`) of a staged one.
+fn unit_of_location(location: &str) -> String {
+    match location.strip_prefix("pas:") {
+        Some(store) => format!("pas/{store}"),
+        None => location.trim_start_matches("staged:").to_string(),
+    }
+}
+
+/// The oracle: every unit holding a snapshot that `get_weights` cannot
+/// read, found by reading each snapshot on its own.
+fn per_snapshot_damage(repo: &Repository) -> BTreeSet<String> {
+    let mut damaged = BTreeSet::new();
+    for v in repo.list() {
         let spec = v.key.to_string();
-        match repo.get_network(&spec) {
-            Ok(net) => {
-                if net.infer_shapes().is_err() {
-                    problems.push(format!("{spec}: stored network fails shape inference"));
-                }
-            }
-            Err(e) => problems.push(format!("{spec}: network unreadable ({e})")),
-        }
-        match repo.snapshots(&spec) {
-            Ok(snaps) => {
-                for s in snaps {
-                    if let Err(e) = repo.get_weights(&spec, Some(s.index)) {
-                        problems.push(format!("{spec}: snapshot {} unreadable ({e})", s.index));
-                    }
-                }
-            }
-            Err(e) => problems.push(format!("{spec}: snapshot list unreadable ({e})")),
-        }
-        if let Ok(desc) = repo.desc(&spec) {
-            for (path, digest, bytes) in &desc.files {
-                match std::fs::read(repo.root().join("objects").join(digest)) {
-                    Ok(content) => {
-                        if mh_dlv::hash::sha256_hex(&content) != *digest {
-                            problems.push(format!("{spec}: file '{path}' digest mismatch"));
-                        } else if content.len() as i64 != *bytes {
-                            problems.push(format!("{spec}: file '{path}' size mismatch"));
-                        }
-                    }
-                    Err(_) => problems.push(format!("{spec}: file object '{path}' missing")),
-                }
+        for s in repo.snapshots(&spec).unwrap() {
+            if repo.get_weights(&spec, Some(s.index)).is_err() {
+                damaged.insert(unit_of_location(&s.location));
             }
         }
     }
-    for (base, derived) in repo.lineage() {
-        for end in [&base, &derived] {
-            if !keys.contains(end) {
-                problems.push(format!("lineage references missing version '{end}'"));
-            }
-        }
-    }
-    problems
+    damaged
+}
+
+/// The units the verifier's errors name: a finding inside a store
+/// (`pas/store0000/obj000003_p0.mhz`) counts for the store.
+fn fsck_damage(report: &FsckReport) -> BTreeSet<String> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .map(|f| match f.location.strip_prefix("pas/") {
+            Some(rest) => format!("pas/{}", rest.split(['/', ':']).next().unwrap()),
+            None => f.location.clone(),
+        })
+        .collect()
+}
+
+fn run(dir: &Path) -> FsckReport {
+    fsck(dir, &FsckConfig::default()).unwrap()
 }
 
 /// The rows of a store's `manifest.mhp`.
@@ -215,17 +208,22 @@ fn fsck_matches_the_per_snapshot_check_under_every_corruption() {
         ),
     ];
 
-    let clean = Repository::open(&pristine).unwrap();
-    assert!(clean.fsck().is_empty(), "{:?}", clean.fsck());
-    assert!(per_snapshot_fsck(&clean).is_empty());
+    let clean = run(&pristine);
+    assert!(clean.is_clean(), "{:?}", clean.findings);
+    assert!(per_snapshot_damage(&Repository::open(&pristine).unwrap()).is_empty());
     for (i, (what, corrupt)) in cases.iter().enumerate() {
         let dir = base.join(format!("case{i}"));
         copy_dir(&pristine, &dir);
         corrupt(&dir);
-        let repo = Repository::open(&dir).unwrap();
-        let oracle = per_snapshot_fsck(&repo);
+        let oracle = per_snapshot_damage(&Repository::open(&dir).unwrap());
         assert!(!oracle.is_empty(), "{what}: the damage must show");
-        assert_eq!(repo.fsck(), oracle, "{what}");
+        let report = run(&dir);
+        assert_eq!(
+            fsck_damage(&report),
+            oracle,
+            "{what}: {:?}",
+            report.findings
+        );
     }
     std::fs::remove_dir_all(&base).ok();
 }
@@ -238,16 +236,15 @@ fn a_clean_fsck_decodes_each_stored_plane_once() {
         .iter()
         .map(|s| store_rows(&dir.join("pas").join(s)).len())
         .sum();
-    let repo = Repository::open(&dir).unwrap();
     // Spans from other tests in this binary carry other trace ids.
     mh_obs::enable_capture();
     let trace = mh_obs::begin_trace();
-    let problems = repo.fsck();
+    let report = run(&dir);
     let spans: Vec<_> = mh_obs::drain_capture()
         .into_iter()
         .filter(|s| s.trace == trace)
         .collect();
-    assert!(problems.is_empty(), "{problems:?}");
+    assert!(report.is_clean(), "{:?}", report.findings);
     let fsck = spans.iter().find(|s| s.name == "dlv.fsck").unwrap();
     let field = |k: &str| {
         fsck.fields

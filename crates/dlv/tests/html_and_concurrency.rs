@@ -89,6 +89,7 @@ fn concurrent_readers_and_writers() {
         h.join().expect("no thread panics");
     }
     assert_eq!(repo.list().len(), 1 + 2 * 5);
-    assert!(repo.fsck().is_empty());
+    let report = mh_dlv::fsck::fsck(repo.root(), &Default::default()).unwrap();
+    assert!(report.is_clean(), "{:?}", report.findings);
     std::fs::remove_dir_all(&dir).ok();
 }

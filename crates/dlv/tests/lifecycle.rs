@@ -2,9 +2,19 @@
 //! → list/desc/diff/eval → archive → retrieve from PAS → publish/pull.
 
 #![allow(clippy::unwrap_used)] // test/bench/demo code: panics are failures
+use mh_dlv::fsck::{FsckConfig, FsckReport};
 use mh_dlv::{diff, ArchiveConfig, CommitRequest, Hub, Repository, VersionKey};
 use mh_dnn::{fine_tune_setup, synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
 use std::path::PathBuf;
+
+/// The repository verifier at its default level.
+fn fsck(repo: &Repository) -> FsckReport {
+    mh_dlv::fsck::fsck(repo.root(), &FsckConfig::default()).unwrap()
+}
+
+fn codes(report: &FsckReport) -> Vec<&'static str> {
+    report.findings.iter().map(|f| f.code).collect()
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mh-dlv-{tag}-{}", std::process::id()));
@@ -311,7 +321,8 @@ fn second_archive_round_gets_its_own_store() {
             );
         }
     }
-    assert!(repo.fsck().is_empty(), "{:?}", repo.fsck());
+    let report = fsck(&repo);
+    assert!(report.is_clean(), "{:?}", report.findings);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -506,7 +517,7 @@ fn fsck_detects_injected_damage() {
     let repo = Repository::init(&dir).unwrap();
     let (req, _) = trained_commit("m", 16, 6);
     repo.commit(&req).unwrap();
-    assert!(repo.fsck().is_empty(), "fresh repository must be clean");
+    assert!(fsck(&repo).is_clean(), "fresh repository must be clean");
 
     // Metrics API returns the committed loss curve.
     let loss = repo.metrics("m", "loss").unwrap();
@@ -526,13 +537,14 @@ fn fsck_detects_injected_damage() {
     let n = bad.len() - 5;
     bad[n] ^= 0x80;
     std::fs::write(&blob, &bad).unwrap();
-    let problems = repo.fsck();
+    let report = fsck(&repo);
     assert!(
-        problems.iter().any(|p| p.contains("unreadable")),
-        "{problems:?}"
+        codes(&report).contains(&mh_dlv::fsck::B_CORRUPT_BLOB),
+        "{:?}",
+        report.findings
     );
     std::fs::write(&blob, &orig).unwrap();
-    assert!(repo.fsck().is_empty());
+    assert!(fsck(&repo).is_clean());
 
     // Damage 2: delete a content-addressed file object.
     let obj = std::fs::read_dir(dir.join("objects"))
@@ -543,15 +555,90 @@ fn fsck_detects_injected_damage() {
         .path();
     let saved = std::fs::read(&obj).unwrap();
     std::fs::remove_file(&obj).unwrap();
-    let problems = repo.fsck();
+    let report = fsck(&repo);
     assert!(
-        problems.iter().any(|p| p.contains("missing")),
-        "{problems:?}"
+        codes(&report).contains(&mh_dlv::fsck::B_MISSING_OBJECT),
+        "{:?}",
+        report.findings
     );
     std::fs::write(&obj, &saved).unwrap();
 
-    // Archived repositories fsck clean too (recreation exercised).
+    // Archived repositories fsck clean too (every stored plane decoded).
     repo.archive(&ArchiveConfig::default()).unwrap();
-    assert!(repo.fsck().is_empty());
+    assert!(fsck(&repo).is_clean());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Commit `name` with weights of its own seed and return those weights.
+fn commit_named(repo: &Repository, name: &str, seed: u64) -> Weights {
+    let net = zoo::lenet_s(3);
+    let w = Weights::init(&net, seed).unwrap();
+    let mut req = CommitRequest::new(name, net);
+    req.snapshots = vec![(0, w.clone())];
+    repo.commit(&req).unwrap();
+    w
+}
+
+#[test]
+fn names_that_sanitize_alike_keep_their_own_blobs() {
+    let dir = temp_dir("blob-names");
+    let hub_dir = temp_dir("blob-names-hub");
+    let pull_dir = temp_dir("blob-names-pull").join("clone");
+    let repo = Repository::init(&dir).unwrap();
+    let names = ["m_x", "m.x", "a/b", "a_b"];
+    let weights: Vec<Weights> = (0..)
+        .zip(names)
+        .map(|(seed, name)| commit_named(&repo, name, seed))
+        .collect();
+    for (name, w) in names.iter().zip(&weights) {
+        assert_eq!(&repo.get_weights(name, None).unwrap(), w, "{name}");
+    }
+    let mut blobs: Vec<String> = std::fs::read_dir(dir.join("weights"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    blobs.sort();
+    assert_eq!(
+        blobs,
+        [
+            "a_b_1_s0-1.mhw",
+            "a_b_1_s0.mhw",
+            "m_x_1_s0-1.mhw",
+            "m_x_1_s0.mhw"
+        ]
+    );
+    assert!(fsck(&repo).is_clean(), "{:?}", fsck(&repo).findings);
+
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "collide").unwrap();
+    let cloned = hub.pull("collide", &pull_dir).unwrap();
+    for (name, w) in names.iter().zip(&weights) {
+        assert_eq!(&cloned.get_weights(name, None).unwrap(), w, "{name}");
+    }
+    assert!(fsck(&cloned).is_clean());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&hub_dir).ok();
+    std::fs::remove_dir_all(pull_dir.parent().unwrap()).ok();
+}
+
+#[test]
+fn a_non_ascii_name_commits_publishes_and_pulls() {
+    let dir = temp_dir("non-ascii");
+    let hub_dir = temp_dir("non-ascii-hub");
+    let pull_dir = temp_dir("non-ascii-pull").join("clone");
+    let repo = Repository::init(&dir).unwrap();
+    let w = commit_named(&repo, "модель", 3);
+    assert_eq!(repo.get_weights("модель", None).unwrap(), w);
+    let loc = &repo.snapshots("модель").unwrap()[0].location;
+    assert!(loc.is_ascii(), "{loc}");
+    assert!(fsck(&repo).is_clean(), "{:?}", fsck(&repo).findings);
+
+    let hub = Hub::open(&hub_dir).unwrap();
+    hub.publish(&repo, "cyrillic").unwrap();
+    let cloned = hub.pull("cyrillic", &pull_dir).unwrap();
+    assert_eq!(cloned.get_weights("модель", None).unwrap(), w);
+    assert!(fsck(&cloned).is_clean());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&hub_dir).ok();
+    std::fs::remove_dir_all(pull_dir.parent().unwrap()).ok();
 }

@@ -5,6 +5,7 @@
 use mh_dlv::{ArchiveConfig, CommitRequest, Repository};
 use mh_dnn::{synth_dataset, zoo, Hyperparams, SynthConfig, Trainer, Weights};
 use mh_dql::{DqlError, Executor, QueryResult};
+use mh_store::{Predicate, Value};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -298,6 +299,9 @@ enum Corruption {
     TruncatedPlanes,
     /// The archive's store directory removed.
     StoreRemoved,
+    /// The `pas_vertex` row of `lenet-origin`'s `conv1` pointed at
+    /// vertex 0, the null vertex.
+    VertexZero,
 }
 
 /// The fixture, archived, then broken as `how` says.
@@ -331,6 +335,36 @@ fn archived_and_corrupted(tag: &str, how: Corruption) -> (Repository, PathBuf) {
             for store in &stores {
                 std::fs::remove_dir_all(store).unwrap();
             }
+        }
+        Corruption::VertexZero => {
+            drop(repo);
+            let catalog = mh_store::Catalog::open(&dir.join("catalog.mhs")).unwrap();
+            catalog
+                .write(|db| {
+                    let mv = db.table("model_version")?.select(&Predicate::Eq(
+                        "name".into(),
+                        Value::Text("lenet-origin".into()),
+                    ))[0]
+                        .id as i64;
+                    let row = db.table("pas_vertex")?.select(
+                        &Predicate::Eq("mv".into(), Value::Int(mv))
+                            .and(Predicate::Eq("layer".into(), Value::Text("conv1".into()))),
+                    )[0]
+                    .id;
+                    db.table_mut("pas_vertex")?
+                        .update(row, "vertex", Value::Int(0))?;
+                    Ok(())
+                })
+                .unwrap();
+            let report = mh_dlv::fsck::fsck(&dir, &mh_dlv::fsck::FsckConfig::default()).unwrap();
+            let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
+            assert_eq!(
+                codes,
+                [mh_dlv::fsck::B_DANGLING_PAS_VERTEX],
+                "{:?}",
+                report.findings
+            );
+            return (Repository::open(&dir).unwrap(), dir);
         }
     }
     (repo, dir)
@@ -414,6 +448,21 @@ fn construct_over_a_removed_store_is_an_error() {
 #[test]
 fn evaluate_over_a_removed_store_is_an_error() {
     evaluate_is_an_error("gone-evaluate", Corruption::StoreRemoved);
+}
+
+#[test]
+fn slice_over_a_zero_vertex_row_is_an_error() {
+    slice_is_an_error("zero-slice", Corruption::VertexZero);
+}
+
+#[test]
+fn construct_over_a_zero_vertex_row_is_an_error() {
+    construct_is_an_error("zero-construct", Corruption::VertexZero);
+}
+
+#[test]
+fn evaluate_over_a_zero_vertex_row_is_an_error() {
+    evaluate_is_an_error("zero-evaluate", Corruption::VertexZero);
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //!   progress resets the retry budget;
 //! - publishes re-negotiate from scratch on retry (the server answers
 //!   idempotently from its current content);
-//! - every pulled repository is fsck'd before the pull reports success.
+//! - every pulled repository passes `mh_dlv::fsck` (the verifier behind
+//!   `modelhub fsck`) before the pull reports success.
 
 use crate::http::{read_body, read_response_head, write_request, ResponseHead};
 use crate::protocol::{
@@ -230,7 +231,8 @@ impl RemoteHub {
 
     /// Pull `name` into `dest` (which must not exist) through
     /// [`pull_into`]: fetch the manifest, fill the object cache, and let
-    /// the shared pull assemble, rename and fsck the repository.
+    /// the shared pull assemble, verify (`mh_dlv::fsck`) and rename the
+    /// repository.
     pub fn pull_repo(&self, name: &str, dest: &Path) -> Result<Repository, HubError> {
         // Without a persistent cache, objects land in a hidden sibling of
         // `dest`, removed once the pull is done. Naming it after `dest`

@@ -18,8 +18,9 @@
 //! The client retries transient failures with exponential backoff plus
 //! jitter, bounds every request with a timeout, and resumes interrupted
 //! pulls: received objects land in a cache keyed by hash, and each retry
-//! re-negotiates from what already arrived. Every pulled repository is
-//! fsck'd before the pull reports success.
+//! re-negotiates from what already arrived. Every pulled repository
+//! passes `mh_dlv::fsck`, the verifier behind `modelhub fsck`, before the
+//! pull reports success.
 //!
 //! The server serves each accepted connection on a blocking thread of its
 //! own, routes at most `--jobs` requests at once (default: `MH_THREADS` /

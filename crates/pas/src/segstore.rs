@@ -301,8 +301,16 @@ impl SegmentStore {
     // mh-audit: no_panic_zone
     pub fn open(dir: &Path) -> Result<Self, PasError> {
         let text = std::fs::read_to_string(Self::manifest_path(dir)).map_err(PasError::Io)?;
+        let rows = parse_manifest(&text).map_err(|(_, msg)| PasError::Corrupt(msg))?;
+        Self::from_rows(dir, rows)
+    }
+
+    /// A store over `dir` whose manifest was already parsed into `rows`
+    /// (a caller that reads the manifest itself need not parse it twice).
+    /// A vertex with more than one row is corrupt, as in [`Self::open`].
+    pub fn from_rows(dir: &Path, rows: Vec<ManifestRow>) -> Result<Self, PasError> {
         let mut objects = BTreeMap::new();
-        for row in parse_manifest(&text).map_err(|(_, msg)| PasError::Corrupt(msg))? {
+        for row in rows {
             if objects.insert(row.vertex, row).is_some() {
                 return Err(PasError::Corrupt("duplicate vertex in manifest"));
             }

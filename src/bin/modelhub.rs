@@ -17,10 +17,12 @@
 //! stderr log level; `--trace <file>` (or `MH_TRACE=<file>`) streams every
 //! completed span as JSON Lines. Command output on stdout is unaffected.
 //!
-//! `fsck` runs the mh-check layers (catalog referential integrity, blob
-//! hashes, PAS plan invariants, α-budget accounting; `--deep` additionally
-//! derives per-snapshot error bounds from byte-plane prefixes) and exits
-//! nonzero when any Error-severity finding is present.
+//! `fsck` runs `mh_dlv::fsck`, the verifier every pull runs too (catalog
+//! referential integrity, networks, blob hashes, PAS plan invariants,
+//! α-budget accounting, every stored plane decoded once; `--deep`
+//! additionally recreates every vertex and derives per-snapshot error
+//! bounds from byte-plane prefixes) and exits nonzero when any
+//! Error-severity finding is present.
 //!
 //! `check` type-checks a DQL query against the catalog schema — and, with
 //! `--repo`, against the repository's network layer names — printing

@@ -10,7 +10,8 @@
 //!   progressive evaluation)
 //! - [`dnn`] — the deep-network substrate (layers, training, interval eval)
 //! - [`hub`] — the hosted hub service (`hubd` server + remote client)
-//! - [`check`] — static integrity verification (`modelhub fsck`)
+//! - [`check`] — the repository verifier (`modelhub fsck`), a re-export of
+//!   `mh_dlv::fsck`, which every pull runs too
 //! - [`audit`] — syntax-aware panic/alloc auditor (`modelhub audit`)
 //! - [`par`] — the shared worker-pool scheduling layer (`MH_THREADS`, `--jobs`)
 //! - [`obs`] — metrics, span tracing, and leveled logging (`--trace`, `prof`)
